@@ -1,7 +1,9 @@
 #include "linalg/solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "support/parallel.h"
@@ -11,6 +13,44 @@ namespace {
 
 // Relative threshold under which a pivot / diagonal entry is treated as zero.
 constexpr double kSingularRel = 1e-12;
+
+// Columns one ParallelFor task owns while a reflector is applied. A block of
+// a 1024-row system is 256 KiB, so the second pass over it hits cache.
+constexpr std::size_t kReflectorColumnBlock = 32;
+
+/// Applies H = I − τ·v·vᵀ to rows [k, k + v.size()) and columns
+/// [first_col, cols) of `a`, where v[0] = 1 sits on row k. Streams rows:
+/// the first pass accumulates w = vᵀ·A one row at a time, the second
+/// subtracts τ·v·wᵀ one row at a time, so every inner loop runs along a
+/// contiguous row segment. Each column's sum runs over rows in ascending
+/// order, so the result does not depend on the block split.
+void ApplyReflectorToColumns(std::span<const double> v, double tau,
+                             std::size_t k, std::size_t first_col,
+                             Matrix& a) {
+  const std::size_t cols = a.cols();
+  const std::size_t blocks =
+      (cols - first_col + kReflectorColumnBlock - 1) / kReflectorColumnBlock;
+  ParallelFor(0, blocks, [&a, v, tau, k, first_col, cols](std::size_t b) {
+    const std::size_t c0 = first_col + b * kReflectorColumnBlock;
+    const std::size_t width = std::min(cols, c0 + kReflectorColumnBlock) - c0;
+    double* top = a.row(k) + c0;
+    std::vector<double> w(top, top + width);
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      const double vi = v[i];
+      const double* row = a.row(k + i) + c0;
+      for (std::size_t c = 0; c < width; ++c) w[c] += vi * row[c];
+    }
+    for (std::size_t c = 0; c < width; ++c) {
+      w[c] *= tau;
+      top[c] -= w[c];
+    }
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      const double vi = v[i];
+      double* row = a.row(k + i) + c0;
+      for (std::size_t c = 0; c < width; ++c) row[c] -= w[c] * vi;
+    }
+  });
+}
 
 }  // namespace
 
@@ -123,38 +163,31 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
   for (const double v : a.flat()) max_abs = std::max(max_abs, std::abs(v));
   const double tiny = std::max(max_abs, 1.0) * kSingularRel;
 
+  std::vector<double> v;
   for (std::size_t k = 0; k < n; ++k) {
-    // Build the Householder reflector for column k.
+    // Build the Householder reflector for column k in a contiguous copy.
+    v.resize(m - k);
     double norm_sq = 0.0;
     for (std::size_t r = k; r < m; ++r) {
-      const double v = qr.at(r, k);
-      norm_sq += v * v;
+      v[r - k] = qr.at(r, k);
+      norm_sq += v[r - k] * v[r - k];
     }
     const double norm = std::sqrt(norm_sq);
     if (norm <= tiny) {
       return Status(StatusCode::kUnsolvable,
                     "QR: rank deficient at column " + std::to_string(k));
     }
-    const double alpha = qr.at(k, k) >= 0 ? -norm : norm;
-    const double v0 = qr.at(k, k) - alpha;
+    const double alpha = v[0] >= 0 ? -norm : norm;
+    const double v0 = v[0] - alpha;
     // Normalize so the reflector's leading element is 1 (stored implicitly).
-    for (std::size_t r = k + 1; r < m; ++r) qr.at(r, k) /= v0;
+    v[0] = 1.0;
+    for (std::size_t r = k + 1; r < m; ++r) {
+      v[r - k] /= v0;
+      qr.at(r, k) = v[r - k];
+    }
     f.tau_[k] = -v0 / alpha;  // equals 2 / (vᵀv) with v0-scaling
     qr.at(k, k) = alpha;
-
-    // Apply the reflector to the trailing columns (parallel across columns).
-    const double tau = f.tau_[k];
-    ParallelFor(k + 1, n, [&qr, tau, k, m](std::size_t c) {
-      double dot = qr.at(k, c);
-      for (std::size_t r = k + 1; r < m; ++r) {
-        dot += qr.at(r, k) * qr.at(r, c);
-      }
-      const double scale = tau * dot;
-      qr.at(k, c) -= scale;
-      for (std::size_t r = k + 1; r < m; ++r) {
-        qr.at(r, c) -= scale * qr.at(r, k);
-      }
-    }, /*grain=*/4);
+    ApplyReflectorToColumns(v, f.tau_[k], k, k + 1, qr);
   }
   return f;
 }
@@ -167,20 +200,13 @@ Matrix QrFactorization::SolveLeastSquares(const Matrix& rhs) const {
   }
   const std::size_t k = rhs.cols();
   Matrix y = rhs;
-  // Apply reflectors: y := Qᵀ·y, column-parallel.
+  // y := Qᵀ·y, one reflector at a time.
+  std::vector<double> v;
   for (std::size_t j = 0; j < n; ++j) {
-    const double tau = tau_[j];
-    ParallelFor(0, k, [this, &y, tau, j, m](std::size_t c) {
-      double dot = y.at(j, c);
-      for (std::size_t r = j + 1; r < m; ++r) {
-        dot += qr_.at(r, j) * y.at(r, c);
-      }
-      const double scale = tau * dot;
-      y.at(j, c) -= scale;
-      for (std::size_t r = j + 1; r < m; ++r) {
-        y.at(r, c) -= scale * qr_.at(r, j);
-      }
-    }, /*grain=*/8);
+    v.resize(m - j);
+    v[0] = 1.0;
+    for (std::size_t r = j + 1; r < m; ++r) v[r - j] = qr_.at(r, j);
+    ApplyReflectorToColumns(v, tau_[j], j, 0, y);
   }
   // Back substitution on R (top n rows of y).
   Matrix x(n, k);

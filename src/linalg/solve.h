@@ -41,6 +41,16 @@ class LuFactorization {
 };
 
 /// Householder QR of an m×n matrix with m ≥ n (economy form).
+///
+/// Matrices are row-major, so each reflector H = I − τ·v·vᵀ is applied by
+/// streaming rows, never by walking down a column: v is copied into a
+/// contiguous vector, w = vᵀ·A is accumulated one row at a time, and τ·v·wᵀ
+/// is subtracted one row at a time. ParallelFor splits the columns the
+/// reflector touches into contiguous blocks, one task per block, and each
+/// column's sum runs over the rows in ascending order, so the factors do
+/// not depend on the thread count. Compute applies each reflector to the
+/// trailing columns; SolveLeastSquares applies them all to the right-hand
+/// sides.
 class QrFactorization {
  public:
   /// Factors `a` (m ≥ n required); kUnsolvable if rank-deficient.

@@ -169,21 +169,24 @@ std::vector<float> MilrProtector::ComputeSignature(
       return {out.flat().begin(), out.flat().end()};
     }
     case nn::LayerKind::kConv2D: {
-      // One stored output per filter (Section IV-B c). The monitored pixel
-      // must be a *central* one: with same padding, a border pixel's patch
-      // is partly zero padding, so weights in the padded-away filter region
-      // would not contribute to it and their corruption would be invisible.
+      // One stored output per filter (Section IV-B c): every filter applied
+      // to one private PRNG patch r of length F²Z, signature[k] =
+      // Σ_u r[u]·W[u,k], at F²Z·Y multiply-adds whatever the input extent.
+      // The patch is drawn, not cut from an input image: on a same-padded
+      // conv whose input is smaller than its filter, every image patch is
+      // partly zero padding, which hides the weights under it. Serial sums
+      // in ascending u, in double, keep the exact compare reproducible.
       const auto& conv = static_cast<const nn::Conv2DLayer&>(layer);
+      const std::size_t filters = conv.out_channels();
       Prng prng(gold.detect_seed);
-      const Shape& in_shape = model_->ShapeAt(layer_index);
-      const Tensor input = RandomTensor(in_shape, prng);
-      const Tensor out = conv.Forward(input);
-      const std::size_t center = out.shape()[0] / 2;
-      std::vector<float> signature(conv.out_channels());
-      for (std::size_t k = 0; k < conv.out_channels(); ++k) {
-        signature[k] = out.at(center, center, k);
+      const Tensor patch = RandomTensor(Shape{conv.PatchLength()}, prng);
+      std::vector<double> acc(filters, 0.0);
+      for (std::size_t u = 0; u < patch.size(); ++u) {
+        const double r = patch[u];
+        const float* w = conv.filters().data() + u * filters;
+        for (std::size_t k = 0; k < filters; ++k) acc[k] += r * w[k];
       }
-      return signature;
+      return {acc.begin(), acc.end()};
     }
     case nn::LayerKind::kBias: {
       // Sum checksum (Section IV-E c), kept in double for determinism.

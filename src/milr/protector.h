@@ -5,10 +5,14 @@
 //    checkpoints (detection signatures), dummy-stream golden outputs, 2-D
 //    CRC tables and the final output. Runs once, when the network is
 //    deployed.
-//  * Error detection — regenerates each layer's private PRNG input, runs
-//    the layer forward and compares the partial checkpoint. Mismatching
-//    layers are flagged. Lightweight: cost is comparable to one prediction
-//    (Table X).
+//  * Error detection — regenerates each layer's private PRNG input, applies
+//    the layer's parameters to it and compares the partial checkpoint.
+//    Mismatching layers are flagged. Each parameter is read once: a dense
+//    layer multiplies one PRNG row through its weights (N·P), a conv layer
+//    one PRNG patch through its filters (F²Z·Y, independent of the image
+//    extent), a bias layer sums its values. That is cheaper than one
+//    prediction, whose convs cost G²·F²Z·Y each (Table X reports the
+//    paper's detection time).
 //  * Error recovery — for each flagged layer, the golden input is propagated
 //    forward from the nearest preceding checkpoint and the golden output
 //    backward from the nearest succeeding checkpoint (through invertible /

@@ -94,14 +94,24 @@ TEST(SolveTest, RightSolve) {
   EXPECT_LT(MaxAbsDiff(solved.value(), x), 1e-9);
 }
 
+/// (rows, cols, right-hand sides) of the consistent overdetermined systems
+/// the QR cases solve; the last is cifar_small's second-conv full solve.
+struct LsShape {
+  std::size_t m, n, k;
+};
+constexpr LsShape kLsShapes[] = {{20, 5, 2}, {1024, 288, 32}};
+
 TEST(LeastSquaresTest, OverdeterminedExactSystem) {
-  // A(20,5)·x = b with consistent b: LS solution equals the exact one.
-  const Matrix a = RandomMatrix(20, 5, 21);
-  const Matrix x = RandomMatrix(5, 2, 22);
-  const Matrix b = MatMul(a, x);
-  auto solved = SolveLeastSquares(a, b);
-  ASSERT_TRUE(solved.ok());
-  EXPECT_LT(MaxAbsDiff(solved.value(), x), 1e-9);
+  // A(m,n)·x = b with consistent b: LS solution equals the exact one.
+  for (const LsShape& s : kLsShapes) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n));
+    const Matrix a = RandomMatrix(s.m, s.n, 21);
+    const Matrix x = RandomMatrix(s.n, s.k, 22);
+    const Matrix b = MatMul(a, x);
+    auto solved = SolveLeastSquares(a, b);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_LT(MaxAbsDiff(solved.value(), x), 1e-9);
+  }
 }
 
 TEST(LeastSquaresTest, MinimizesResidual) {
@@ -141,13 +151,16 @@ TEST(LeastSquaresTest, RankDeficientReported) {
 }
 
 TEST(QrFactorizationTest, ReusableAcrossRhs) {
-  const Matrix a = RandomMatrix(12, 4, 51);
-  auto qr = QrFactorization::Compute(a);
-  ASSERT_TRUE(qr.ok());
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const Matrix x = RandomMatrix(4, 1, 60 + seed);
-    const Matrix b = MatMul(a, x);
-    EXPECT_LT(MaxAbsDiff(qr.value().SolveLeastSquares(b), x), 1e-9);
+  for (const LsShape& s : {LsShape{12, 4, 1}, kLsShapes[1]}) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n));
+    const Matrix a = RandomMatrix(s.m, s.n, 51);
+    auto qr = QrFactorization::Compute(a);
+    ASSERT_TRUE(qr.ok());
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const Matrix x = RandomMatrix(s.n, s.k, 60 + seed);
+      const Matrix b = MatMul(a, x);
+      EXPECT_LT(MaxAbsDiff(qr.value().SolveLeastSquares(b), x), 1e-9);
+    }
   }
 }
 

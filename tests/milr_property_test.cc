@@ -148,7 +148,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{3, 2, 20, 9, nn::Padding::kValid},
                       ConvCase{5, 1, 25, 11, nn::Padding::kSame},
                       ConvCase{3, 4, 8, 10, nn::Padding::kValid},
-                      ConvCase{5, 2, 50, 12, nn::Padding::kValid}));
+                      ConvCase{5, 2, 50, 12, nn::Padding::kValid},
+                      // cifar_small's second conv: a 1024×288 full solve.
+                      ConvCase{3, 32, 32, 32, nn::Padding::kSame}));
 
 // -------------------------------------------- random architecture sweep
 

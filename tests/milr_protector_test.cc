@@ -210,6 +210,46 @@ TEST(ProtectorTest, CanonicalInputIsStable) {
   EXPECT_EQ(MaxAbsDiff(a, b), 0.0f);
 }
 
+TEST(ProtectorTest, ConvDetectionSeesEveryWholeWeightFlip) {
+  // Every weight must reach its filter's signature whatever the input
+  // extent. A same-padded conv on an input smaller than its filter pads
+  // away part of every output pixel's patch, so a signature read off the
+  // conv's output image would miss the weights under that padding.
+  struct Geometry {
+    std::size_t f, m;
+    nn::Padding padding;
+  };
+  const std::vector<Geometry> geometries = {
+      {1, 1, nn::Padding::kSame},  {1, 4, nn::Padding::kSame},
+      {1, 1, nn::Padding::kValid}, {1, 4, nn::Padding::kValid},
+      {3, 1, nn::Padding::kSame},  {3, 2, nn::Padding::kSame},
+      {3, 3, nn::Padding::kSame},  {3, 8, nn::Padding::kSame},
+      {3, 3, nn::Padding::kValid}, {3, 8, nn::Padding::kValid},
+      {5, 2, nn::Padding::kSame},  {5, 4, nn::Padding::kSame},
+      {5, 5, nn::Padding::kSame},  {5, 8, nn::Padding::kSame},
+      {5, 5, nn::Padding::kValid}, {5, 8, nn::Padding::kValid}};
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE("F=" + std::to_string(g.f) + " M=" + std::to_string(g.m) +
+                 (g.padding == nn::Padding::kSame ? " same" : " valid"));
+    nn::Model model(Shape{g.m, g.m, 2});
+    model.AddConv(g.f, 3, g.padding);
+    nn::InitHeUniform(model, 42);
+    MilrProtector protector(model);
+    auto params = model.layer(0).Params();
+    std::size_t missed = 0;
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      const float golden = params[p];
+      params[p] = FloatFromBits(~FloatBits(golden));
+      if (protector.Detect().flagged_layers != std::vector<std::size_t>{0}) {
+        ++missed;
+      }
+      params[p] = golden;
+    }
+    EXPECT_EQ(missed, 0u) << "of " << params.size() << " weights";
+    EXPECT_FALSE(protector.Detect().any());
+  }
+}
+
 TEST(ProtectorTest, TinyLsbFlipMayEscapeDetectionButCrcSeesIt) {
   // Detection compares float signatures: a mantissa-LSB flip in a big conv
   // can vanish in accumulation (the paper's detection-miss case, §V-B). The
