@@ -168,9 +168,9 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
     // Build the Householder reflector for column k in a contiguous copy.
     v.resize(m - k);
     double norm_sq = 0.0;
-    for (std::size_t r = k; r < m; ++r) {
-      v[r - k] = qr.at(r, k);
-      norm_sq += v[r - k] * v[r - k];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = qr.at(k + i, k);
+      norm_sq += v[i] * v[i];
     }
     const double norm = std::sqrt(norm_sq);
     if (norm <= tiny) {
@@ -181,9 +181,9 @@ Result<QrFactorization> QrFactorization::Compute(const Matrix& a) {
     const double v0 = v[0] - alpha;
     // Normalize so the reflector's leading element is 1 (stored implicitly).
     v[0] = 1.0;
-    for (std::size_t r = k + 1; r < m; ++r) {
-      v[r - k] /= v0;
-      qr.at(r, k) = v[r - k];
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      v[i] /= v0;
+      qr.at(k + i, k) = v[i];
     }
     f.tau_[k] = -v0 / alpha;  // equals 2 / (vᵀv) with v0-scaling
     qr.at(k, k) = alpha;
@@ -205,7 +205,7 @@ Matrix QrFactorization::SolveLeastSquares(const Matrix& rhs) const {
   for (std::size_t j = 0; j < n; ++j) {
     v.resize(m - j);
     v[0] = 1.0;
-    for (std::size_t r = j + 1; r < m; ++r) v[r - j] = qr_.at(r, j);
+    for (std::size_t i = 1; i < v.size(); ++i) v[i] = qr_.at(j + i, j);
     ApplyReflectorToColumns(v, tau_[j], j, 0, y);
   }
   // Back substitution on R (top n rows of y).

@@ -94,16 +94,17 @@ TEST(SolveTest, RightSolve) {
   EXPECT_LT(MaxAbsDiff(solved.value(), x), 1e-9);
 }
 
-/// (rows, cols, right-hand sides) of the consistent overdetermined systems
-/// the QR cases solve; the last is cifar_small's second-conv full solve.
+/// Rows, columns and right-hand sides of a consistent overdetermined system.
 struct LsShape {
   std::size_t m, n, k;
 };
-constexpr LsShape kLsShapes[] = {{20, 5, 2}, {1024, 288, 32}};
+/// cifar_small's second-conv full solve: 1024 output pixels, 288 unknowns
+/// per filter, 32 filters.
+constexpr LsShape kConvSolve{1024, 288, 32};
 
 TEST(LeastSquaresTest, OverdeterminedExactSystem) {
   // A(m,n)·x = b with consistent b: LS solution equals the exact one.
-  for (const LsShape& s : kLsShapes) {
+  for (const LsShape& s : {LsShape{20, 5, 2}, kConvSolve}) {
     SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n));
     const Matrix a = RandomMatrix(s.m, s.n, 21);
     const Matrix x = RandomMatrix(s.n, s.k, 22);
@@ -151,7 +152,7 @@ TEST(LeastSquaresTest, RankDeficientReported) {
 }
 
 TEST(QrFactorizationTest, ReusableAcrossRhs) {
-  for (const LsShape& s : {LsShape{12, 4, 1}, kLsShapes[1]}) {
+  for (const LsShape& s : {LsShape{12, 4, 1}, kConvSolve}) {
     SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n));
     const Matrix a = RandomMatrix(s.m, s.n, 51);
     auto qr = QrFactorization::Compute(a);
