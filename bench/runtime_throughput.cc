@@ -36,7 +36,6 @@
 // machine-readable artifact.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +51,6 @@
 #include "apps/networks.h"
 #include "data/synthetic.h"
 #include "memory/fault_injector.h"
-#include "obs/histogram.h"
 #include "nn/init.h"
 #include "nn/kernel_config.h"
 #include "nn/kernel_registry.h"
@@ -63,6 +61,8 @@
 #include "runtime/request_queue.h"
 #include "runtime/serving_host.h"
 #include "support/prng.h"
+
+#include "mutex_queue_oracle.h"  // tests/: the ring's reference queue
 
 namespace {
 
@@ -738,15 +738,16 @@ std::vector<CoHostRow> RunCoHostSweep(
 //
 // The request queue in isolation: producers TryPush (retrying on full),
 // consumers TryPopBatch(8) — the exact hot-path shape the engine drives —
-// on a BoundedQueue<uint64_t>, run with an IDENTICAL driver for both
-// queue kinds. Reported as dequeued Mops/s per producers×consumers
-// point. The lockfree/mutex ratio at the most-contended point that FITS
-// the machine (producers+consumers <= hardware threads) is the
-// refactor's acceptance number: CI guards it at >= 1.0x, i.e. the
-// lock-free path must never be slower than the mutex oracle it replaced
-// under real contention. When no point fits (a 1-core runner), the guard
-// field is omitted and the comparator skips the floor — oversubscribed
-// "contention" measures scheduler fairness, not the queue.
+// on the lock-free BoundedQueue<uint64_t> and on the mutex oracle from
+// tests/mutex_queue_oracle.h, run with an IDENTICAL driver. Reported as
+// dequeued Mops/s per producers×consumers point. The lockfree/mutex ratio
+// at the most-contended point that FITS the machine (producers+consumers
+// <= hardware threads) is the ring's standing justification: CI guards it
+// at >= 1.0x, i.e. the lock-free queue must never be slower than the
+// mutex queue under real contention. When no point fits (a 1-core
+// runner), the guard field is omitted and the comparator skips the floor
+// — oversubscribed "contention" measures scheduler fairness, not the
+// queue.
 
 struct QueueSweepRow {
   std::size_t producers = 0;
@@ -768,11 +769,10 @@ struct QueueBenchResult {
   double contended_ratio = 0.0;
 };
 
-double RunQueueTrial(milr::runtime::QueueKind kind, std::size_t producers,
-                     std::size_t consumers, std::size_t capacity,
-                     double seconds) {
-  using namespace milr::runtime;
-  BoundedQueue<std::uint64_t> queue(capacity, kind);
+template <typename Queue>
+double RunQueueTrial(std::size_t producers, std::size_t consumers,
+                     std::size_t capacity, double seconds) {
+  Queue queue(capacity);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> dequeued{0};
   std::vector<std::thread> threads;
@@ -821,7 +821,8 @@ double RunQueueTrial(milr::runtime::QueueKind kind, std::size_t producers,
 }
 
 QueueBenchResult RunQueueSweep(bool smoke) {
-  using milr::runtime::QueueKind;
+  using Lockfree = milr::runtime::BoundedQueue<std::uint64_t>;
+  using Mutex = milr::runtime::MutexQueue<std::uint64_t>;
   QueueBenchResult result;
   result.capacity = 1024;
   result.hw_threads = std::thread::hardware_concurrency();
@@ -831,25 +832,25 @@ QueueBenchResult RunQueueSweep(bool smoke) {
                                                                {2, 2}}
             : std::vector<std::pair<std::size_t, std::size_t>>{
                   {1, 1}, {2, 2}, {4, 4}};
-  std::printf("queue microbench (BoundedQueue<u64> capacity=%zu, TryPush "
-              "retry vs TryPopBatch(8), best of 3 x %.2fs per point, "
-              "hw_threads=%u):\n",
+  std::printf("queue microbench (BoundedQueue<u64> vs mutex oracle, "
+              "capacity=%zu, TryPush retry vs TryPopBatch(8), best of 3 x "
+              "%.2fs per point, hw_threads=%u):\n",
               result.capacity, seconds, result.hw_threads);
   for (const auto& point : points) {
     QueueSweepRow row;
     row.producers = point.first;
     row.consumers = point.second;
-    // Best-of-three per kind, interleaved mutex/lockfree so thermal or
-    // scheduler drift across the sweep hits both kinds alike.
+    // Best-of-three per queue, interleaved mutex/lockfree so thermal or
+    // scheduler drift across the sweep hits both alike.
     for (int pass = 0; pass < 3; ++pass) {
       row.mutex_mops = std::max(
-          row.mutex_mops, RunQueueTrial(QueueKind::kMutex, row.producers,
-                                        row.consumers, result.capacity,
-                                        seconds));
+          row.mutex_mops,
+          RunQueueTrial<Mutex>(row.producers, row.consumers,
+                               result.capacity, seconds));
       row.lockfree_mops = std::max(
           row.lockfree_mops,
-          RunQueueTrial(QueueKind::kLockfree, row.producers, row.consumers,
-                        result.capacity, seconds));
+          RunQueueTrial<Lockfree>(row.producers, row.consumers,
+                                  result.capacity, seconds));
     }
     const double ratio =
         row.mutex_mops > 0.0 ? row.lockfree_mops / row.mutex_mops : 0.0;
@@ -945,21 +946,16 @@ TracingOverheadResult RunTracingOverhead(
 // --------------------------------------------------------------- SLO phase
 //
 // The observability acceptance phase: one engine run with a latency SLO
-// declared, the validation oracle on, and an incident drill at the end.
-// It produces three numbers CI guards:
+// declared and an incident drill at the end. It produces two numbers CI
+// guards:
 //   * goodput under a generous objective (healthy serving must stay ~1.0);
-//   * the histogram-vs-sorted-oracle p99 relative error — the lock-free
-//     histogram now owns the latency percentiles, and this phase checks
-//     its answer against the retained exact-window oracle on real serving
-//     latencies (bucket quantization bounds it at kMaxRelativeError;
-//     interpolation-rule differences add a little on top);
 //   * the incident drill: a whole-layer fault + on-demand scrub must open
 //     exactly one quarantine incident, close it recovered, and (with the
 //     flight recorder on) auto-capture a Chrome trace. The journal JSON
 //     and the trace directory are written as CI artifacts.
-// The load is a fixed request COUNT (not a timed window) kept under the
-// oracle's 16K ring, so the histogram and the oracle see the identical
-// sample set and the comparison is apples-to-apples.
+// The histogram's p99 is printed and archived; its accuracy against exact
+// sample quantiles is a ctest (MetricsTest in tests/runtime_test.cc).
+// The load is a fixed request COUNT, not a timed window.
 //
 // The objective is CALIBRATED, not hard-coded: a short unconstrained
 // warmup measures this net-on-this-machine's p99, and the SLO phase runs
@@ -978,8 +974,6 @@ struct SloPhaseResult {
   double fast_burn_rate = 0.0;
   double slow_burn_rate = 0.0;
   double hist_p99_ms = 0.0;
-  double oracle_p99_ms = 0.0;
-  double hist_p99_rel_err = 0.0;
   unsigned long long incidents_opened = 0;
   unsigned long long incidents_open = 0;
   bool incident_recovered = false;
@@ -1044,7 +1038,6 @@ SloPhaseResult RunSloPhase(milr::nn::Model& model,
   tracer.Enable(1u << 12);
   config.slo_ms = objective_ms;
   config.slo_target = 0.999;
-  config.latency_oracle = true;
   config.incident_trace_dir = trace_dir;
   runtime::InferenceEngine engine(model, config);
   engine.Start();
@@ -1070,12 +1063,6 @@ SloPhaseResult RunSloPhase(milr::nn::Model& model,
   result.fast_burn_rate = snap.slo.fast_burn_rate;
   result.slow_burn_rate = snap.slo.slow_burn_rate;
   result.hist_p99_ms = snap.latency_p99_ms;
-  result.oracle_p99_ms = snap.latency_oracle_p99_ms;
-  result.hist_p99_rel_err =
-      result.oracle_p99_ms > 0.0
-          ? std::abs(result.hist_p99_ms - result.oracle_p99_ms) /
-                result.oracle_p99_ms
-          : 0.0;
   result.incidents_opened = journal.incidents_opened();
   result.incidents_open = journal.open_incidents();
   result.dropped_samples = snap.dropped_samples;
@@ -1102,17 +1089,14 @@ SloPhaseResult RunSloPhase(milr::nn::Model& model,
   std::printf("slo phase (objective=%.0fms target=%.3f, %zu requests): "
               "goodput %.4f (%llu within / %llu over)  fast_burn %.3f  "
               "slow_burn %.3f\n"
-              "  p99: histogram %.3f ms  oracle %.3f ms  rel_err %.4f "
-              "(bucket bound %.4f)\n"
+              "  p99: histogram %.3f ms\n"
               "  incident drill: %llu opened, %llu still open, "
               "recovered=%s, trace=%s\n",
               result.objective_ms, result.target, total_requests,
               result.goodput, result.within, result.violations,
               result.fast_burn_rate, result.slow_burn_rate,
-              result.hist_p99_ms, result.oracle_p99_ms,
-              result.hist_p99_rel_err,
-              obs::LatencyHistogram::kMaxRelativeError,
-              result.incidents_opened, result.incidents_open,
+              result.hist_p99_ms, result.incidents_opened,
+              result.incidents_open,
               result.incident_recovered ? "yes" : "NO",
               result.trace_captured ? "yes" : "NO");
   return result;
@@ -1275,13 +1259,12 @@ void WriteBenchJson(const char* path, const char* net, bool smoke,
                "\"within\": %llu, \"violations\": %llu, "
                "\"goodput\": %.6f, \"fast_burn_rate\": %.4f, "
                "\"slow_burn_rate\": %.4f, \"hist_p99_ms\": %.4f, "
-               "\"oracle_p99_ms\": %.4f, \"hist_p99_rel_err\": %.6f, "
                "\"incidents_opened\": %llu, \"incidents_open\": %llu, "
                "\"incident_recovered\": %s, \"trace_captured\": %s, "
                "\"dropped_samples\": %llu}\n",
                slo.objective_ms, slo.target, slo.within, slo.violations,
                slo.goodput, slo.fast_burn_rate, slo.slow_burn_rate,
-               slo.hist_p99_ms, slo.oracle_p99_ms, slo.hist_p99_rel_err,
+               slo.hist_p99_ms,
                slo.incidents_opened, slo.incidents_open,
                slo.incident_recovered ? "true" : "false",
                slo.trace_captured ? "true" : "false",
@@ -1384,7 +1367,8 @@ int main(int argc, char** argv) {
       RunCoHostSweep(net, cohost_counts, workers, /*max_batch=*/8, seconds);
 
   // Request-queue microbench: the lock-free MPMC ring vs the mutex
-  // oracle, identical driver, sweeping producers×consumers contention.
+  // oracle from tests/, identical driver, sweeping producers×consumers
+  // contention.
   const QueueBenchResult queue_bench = RunQueueSweep(smoke);
 
   // Flight-recorder acceptance: enabled-vs-disabled QPS on the largest
@@ -1393,8 +1377,7 @@ int main(int argc, char** argv) {
       model, golden, probes, batches.back(), workers, clients, seconds,
       trace_path);
 
-  // SLO + incident-journal acceptance phase: fixed request count under the
-  // oracle ring (16K) so histogram and oracle compare the same samples.
+  // SLO + incident-journal acceptance phase over a fixed request count.
   const SloPhaseResult slo = RunSloPhase(
       model, golden, probes, workers, clients,
       /*total_requests=*/smoke ? 4000 : 12000, "BENCH_incidents.json",

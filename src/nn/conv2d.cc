@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -18,37 +14,12 @@
 
 namespace milr::nn {
 
-std::size_t ParsePatchBudgetEnv(const char* text) {
-  if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || errno == ERANGE || parsed <= 0) return 0;
-  // Trailing whitespace is harmless shell residue; anything else ("8MB",
-  // "1e6") is a misconfiguration, not a budget.
-  while (*end != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*end))) return 0;
-    ++end;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 namespace {
 
 std::atomic<std::size_t> g_patch_budget_override{0};
 
 std::size_t DerivedPatchBudgetBytes() {
   static const std::size_t derived = [] {
-    if (const char* env = std::getenv("MILR_PATCH_BUDGET")) {
-      const std::size_t parsed = ParsePatchBudgetEnv(env);
-      if (parsed > 0) return parsed;
-      // A set-but-invalid budget must fail loudly, not silently serve a
-      // default the operator believes they overrode.
-      std::fprintf(stderr,
-                   "MILR_PATCH_BUDGET='%s' is not a positive byte count; "
-                   "falling back to the cache-derived default\n",
-                   env);
-    }
     // Size the materialized patch matrix to the last-level cache: past
     // that, every GEMM pass re-streams it from DRAM and materialization
     // only adds memory pressure (tens of MB per conv at max_batch 16+).

@@ -24,19 +24,11 @@ enum class Padding { kValid, kSame };
 /// Upper bound, in bytes, on the im2col patch matrix a batched conv may
 /// materialize at once. Above it, ForwardBatch streams the GEMM per row
 /// block instead of building the full (B·G², F²Z) operand. Derived from
-/// the machine's last-level cache (fallback 8 MiB), overridable with the
-/// MILR_PATCH_BUDGET env var (bytes).
+/// the machine's last-level cache (fallback 8 MiB).
 std::size_t PatchMatrixBudgetBytes();
 
-/// Test/operator override for the budget; 0 restores the derived default.
+/// Test override for the budget; 0 restores the derived default.
 void SetPatchMatrixBudgetBytes(std::size_t bytes);
-
-/// Parses a MILR_PATCH_BUDGET value: the byte count for a strictly
-/// positive integer with no trailing garbage, else 0 (invalid — the
-/// caller falls back to the cache-derived default and warns). Exposed so
-/// tests can pin the accept/reject behavior without touching the
-/// environment.
-std::size_t ParsePatchBudgetEnv(const char* text);
 
 class Conv2DLayer final : public Layer {
  public:

@@ -15,7 +15,6 @@ ServingHostConfig HostConfigFrom(const EngineConfig& config) {
 ModelRuntimeConfig RuntimeConfigFrom(const EngineConfig& config) {
   ModelRuntimeConfig runtime;
   runtime.queue_capacity = config.queue_capacity;
-  runtime.queue_kind = config.queue_kind;
   runtime.max_batch = config.max_batch;
   runtime.batch_linger = config.batch_linger;
   runtime.kernel = config.kernel;
@@ -23,7 +22,6 @@ ModelRuntimeConfig RuntimeConfigFrom(const EngineConfig& config) {
   runtime.activation_scale_cache = config.activation_scale_cache;
   runtime.slo_ms = config.slo_ms;
   runtime.slo_target = config.slo_target;
-  runtime.latency_oracle = config.latency_oracle;
   runtime.milr = config.milr;
   return runtime;
 }

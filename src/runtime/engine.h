@@ -52,11 +52,6 @@ struct EngineConfig {
   /// workers than cores, batched layers fan out internally instead.
   std::size_t worker_threads = DefaultWorkerThreads();
   std::size_t queue_capacity = 256;
-  /// Which BoundedQueue implementation backs admission (request_queue.h):
-  /// the lock-free MPMC ring by default, the mutex oracle via
-  /// MILR_QUEUE=mutex or an explicit override here. Serving results are
-  /// bit-identical across kinds; only contention behavior differs.
-  QueueKind queue_kind = DefaultQueueKind();
   /// Dynamic micro-batching: a worker drains up to `max_batch` queued
   /// requests and serves them with one PredictBatch under a single
   /// shared-lock acquisition. 1 disables batching entirely.
@@ -75,9 +70,6 @@ struct EngineConfig {
   double slo_ms = 0.0;
   /// Target within-SLO fraction (error budget = 1 - slo_target).
   double slo_target = 0.999;
-  /// Validation-only sorted-sample oracle alongside the lock-free latency
-  /// histogram (see ModelRuntimeConfig::latency_oracle). Default off.
-  bool latency_oracle = false;
   /// Incident-journal auto-trace directory (see
   /// ServingHostConfig::incident_trace_dir). Empty disables capture.
   std::string incident_trace_dir;

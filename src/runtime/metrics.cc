@@ -1,20 +1,10 @@
 #include "runtime/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace milr::runtime {
 namespace {
-
-double Quantile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 void AppendField(std::string& out, const char* key, double value,
                  bool last = false) {
@@ -71,7 +61,6 @@ std::string MetricsSnapshot::ToJson() const {
   AppendField(out, "latency_mean_ms", latency_mean_ms);
   AppendField(out, "latency_p50_ms", latency_p50_ms);
   AppendField(out, "latency_p99_ms", latency_p99_ms);
-  AppendField(out, "latency_oracle_p99_ms", latency_oracle_p99_ms);
   AppendField(out, "queue_wait_mean_ms", queue_wait_mean_ms);
   AppendField(out, "queue_wait_p50_ms", queue_wait_p50_ms);
   AppendField(out, "queue_wait_p99_ms", queue_wait_p99_ms);
@@ -113,12 +102,6 @@ void Metrics::MarkStarted() {
       downtime_nanos_.load(std::memory_order_relaxed);
 }
 
-void Metrics::EnableLatencyOracle() {
-  std::lock_guard<std::mutex> lock(oracle_mutex_);
-  oracle_samples_.reserve(kLatencyWindow);
-  oracle_enabled_.store(true, std::memory_order_release);
-}
-
 std::uint64_t Metrics::SanitizeToNanos(double millis) {
   // NaN fails every comparison, so test for "good" and invert: both NaN
   // and negatives clamp to 0 and count as dropped (a poisoned sample must
@@ -135,15 +118,6 @@ void Metrics::RecordLatency(double millis) {
   const std::uint64_t nanos = SanitizeToNanos(millis);
   latency_hist_.Record(nanos);
   if (slo_.enabled()) slo_.Record(nanos, obs::SloTracker::NowNanos());
-  if (oracle_enabled_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(oracle_mutex_);
-    if (oracle_samples_.size() < kLatencyWindow) {
-      oracle_samples_.push_back(static_cast<double>(nanos) / 1e6);
-    } else {
-      oracle_samples_[oracle_next_] = static_cast<double>(nanos) / 1e6;
-    }
-    oracle_next_ = (oracle_next_ + 1) % kLatencyWindow;
-  }
 }
 
 void Metrics::RecordQueueWait(double millis) {
@@ -307,18 +281,6 @@ MetricsSnapshot Metrics::Snapshot() const {
     snap.queue_wait_mean_ms = snap.queue_wait_hist.MeanMillis();
     snap.queue_wait_p50_ms = snap.queue_wait_hist.QuantileMillis(0.5);
     snap.queue_wait_p99_ms = snap.queue_wait_hist.QuantileMillis(0.99);
-  }
-
-  if (oracle_enabled_.load(std::memory_order_acquire)) {
-    std::vector<double> window;
-    {
-      std::lock_guard<std::mutex> lock(oracle_mutex_);
-      window = oracle_samples_;
-    }
-    if (!window.empty()) {
-      std::sort(window.begin(), window.end());
-      snap.latency_oracle_p99_ms = Quantile(window, 0.99);
-    }
   }
 
   snap.slo = slo_.Snapshot(obs::SloTracker::NowNanos());

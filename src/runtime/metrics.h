@@ -3,9 +3,9 @@
 // Counters are written from four kinds of threads at once (client submit
 // paths, inference workers, the scrubber, the fault drive), so everything
 // hot is a relaxed atomic — including the latency distributions, which are
-// lock-free log-bucketed histograms (obs/histogram.h) rather than the old
-// mutex-guarded reservoir. The record path (RecordLatency/RecordQueueWait)
-// therefore takes no mutex at all; the one mutex left in this class guards
+// lock-free log-bucketed histograms (obs/histogram.h). The record path
+// (RecordLatency/RecordQueueWait) therefore takes no mutex at all; the one
+// mutex in this class guards
 // the uptime-epoch trio, which is only touched by MarkStarted (a lifecycle
 // event) and Snapshot (the read path). Snapshot() computes the derived
 // quantities (availability, MTTR, p50/p99, throughput, goodput, burn
@@ -62,8 +62,8 @@ struct MetricsSnapshot {
   double mttr_seconds = 0.0;             // recovery_downtime / recoveries
 
   // Latency statistics over ALL samples since construction (the
-  // histogram is cumulative, unlike the old 16K-sample reservoir), with
-  // bounded relative error per obs::LatencyHistogram::kMaxRelativeError.
+  // histogram is cumulative), with bounded relative error per
+  // obs::LatencyHistogram::kMaxRelativeError.
   double latency_mean_ms = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -74,11 +74,6 @@ struct MetricsSnapshot {
   double queue_wait_p50_ms = 0.0;
   double queue_wait_p99_ms = 0.0;
   double throughput_rps = 0.0;           // epoch requests served / uptime
-  /// p99 from the retained sorted-sample oracle, 0 unless
-  /// Metrics::EnableLatencyOracle() was called (validation runs only —
-  /// the oracle path takes a mutex). The bench compares this against
-  /// latency_p99_ms to hold the histogram to its error bound.
-  double latency_oracle_p99_ms = 0.0;
 
   /// The raw bucket counts behind the percentiles above. Carried on the
   /// snapshot so AggregateSnapshots can merge them EXACTLY (bucket-wise
@@ -134,9 +129,6 @@ MetricsSnapshot AggregateSnapshots(const std::vector<MetricsSnapshot>& parts);
 /// Thread-safe registry shared by the engine, scrubber and fault drive.
 class Metrics {
  public:
-  /// Size of the optional sorted-oracle reservoir (EnableLatencyOracle).
-  static constexpr std::size_t kLatencyWindow = 1 << 14;
-
   /// Stamps the uptime epoch; called on every (re)start of the owning
   /// runtime. Counters keep accumulating across epochs, but the
   /// rate-derived snapshot quantities (throughput_rps, availability) are
@@ -149,21 +141,13 @@ class Metrics {
   /// configures at construction). No objective = tracking disabled.
   void ConfigureSlo(const obs::SloConfig& config) { slo_.Configure(config); }
 
-  /// Turns on the mutex-guarded sorted-sample oracle alongside the
-  /// histogram, for validation runs that want to measure the histogram's
-  /// quantile error on live traffic (Snapshot then fills
-  /// latency_oracle_p99_ms). Deliberately NOT the default: the oracle
-  /// path re-adds a lock to RecordLatency.
-  void EnableLatencyOracle();
-
   /// Largest batch size tracked exactly by the histogram; bigger batches
   /// clamp into this bucket.
   static constexpr std::size_t kBatchHistogramMax = 64;
 
   /// Records one served request and its end-to-end latency. Lock-free
-  /// (two relaxed fetch_adds into the histogram plus the SLO counters)
-  /// unless the validation oracle is enabled. NaN/negative samples clamp
-  /// to 0 and count dropped_samples.
+  /// (two relaxed fetch_adds into the histogram plus the SLO counters).
+  /// NaN/negative samples clamp to 0 and count dropped_samples.
   void RecordLatency(double millis);
   /// Records how long one request sat queued before a worker picked it up
   /// (recorded at batch formation, before the model lock is taken).
@@ -245,15 +229,6 @@ class Metrics {
   obs::LatencyHistogram latency_hist_;
   obs::LatencyHistogram queue_wait_hist_;
   obs::SloTracker slo_;
-
-  /// Validation oracle (EnableLatencyOracle): the old mutex-guarded
-  /// reservoir of the most recent kLatencyWindow latency samples, kept
-  /// only to measure the histogram's error on live traffic. Off by
-  /// default — the hot path never touches oracle_mutex_ then.
-  std::atomic<bool> oracle_enabled_{false};
-  mutable std::mutex oracle_mutex_;
-  std::vector<double> oracle_samples_;
-  std::size_t oracle_next_ = 0;
 
   /// Guards the epoch trio below only (NOT the sample path). Restart
   /// support makes MarkStarted a live operation (host Start) that can

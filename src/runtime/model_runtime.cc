@@ -16,7 +16,7 @@ ModelRuntime::ModelRuntime(nn::Model& model, ModelRuntimeConfig config,
       name_(std::move(name)),
       trace_track_(obs::Tracer::Get().RegisterTrack(name_)),
       protector_(std::make_unique<core::MilrProtector>(model, config.milr)),
-      queue_(config.queue_capacity, config.queue_kind) {
+      queue_(config.queue_capacity) {
   // After protector construction: MILR initialization records its golden
   // data through the per-sample exact kernels regardless, but the serving
   // tier must be in place before the first PredictBatch (and for the fast
@@ -35,7 +35,6 @@ ModelRuntime::ModelRuntime(nn::Model& model, ModelRuntimeConfig config,
     slo.target = config_.slo_target;
     metrics_.ConfigureSlo(slo);
   }
-  if (config_.latency_oracle) metrics_.EnableLatencyOracle();
 }
 
 std::shared_ptr<obs::IncidentJournal> ModelRuntime::Journal() const {

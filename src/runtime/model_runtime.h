@@ -48,11 +48,6 @@ class Scheduler;
 /// (ServingHostConfig); everything request-path lives here.
 struct ModelRuntimeConfig {
   std::size_t queue_capacity = 256;
-  /// Which BoundedQueue implementation backs this model's admission queue
-  /// (see request_queue.h): the lock-free MPMC ring by default, or the
-  /// mutex oracle via MILR_QUEUE=mutex / an explicit override here. Both
-  /// satisfy the same contract; serving results are bit-identical.
-  QueueKind queue_kind = DefaultQueueKind();
   /// Dynamic micro-batching: a worker drains up to `max_batch` queued
   /// requests and serves them with one PredictBatch under a single
   /// shared-lock acquisition. 1 disables batching entirely.
@@ -92,11 +87,6 @@ struct ModelRuntimeConfig {
   /// Target fraction of requests within the objective (error budget =
   /// 1 - slo_target). Only meaningful with slo_ms > 0.
   double slo_target = 0.999;
-  /// Validation-only: retain the mutex-guarded sorted-sample oracle
-  /// alongside the lock-free latency histogram so snapshots report
-  /// latency_oracle_p99_ms (see Metrics::EnableLatencyOracle). Default
-  /// off — on, RecordLatency takes a lock again.
-  bool latency_oracle = false;
   /// Protection preset for the embedded MilrProtector.
   core::MilrConfig milr = core::ExtendedMilrConfig();
   /// Deficit-round-robin share of the shared worker pool relative to its

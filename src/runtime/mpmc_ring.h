@@ -19,8 +19,12 @@
 // position → cell mapping is a mask, and the two cursors live on their
 // own cache lines so producers and consumers don't false-share.
 //
+// Cells hold std::optional<T>: a value exists only while its cell is full,
+// so the ring never default-constructs a T (a serving request carries a
+// std::promise, whose default constructor allocates).
+//
 // This type is intentionally dumb: no close/reopen, no blocking, no depth
-// — TryEnqueue/TryDequeue only. LockfreeQueue (request_queue.h) layers
+// — TryEnqueue/TryDequeue only. BoundedQueue (request_queue.h) layers
 // admission control, backpressure parking, and lifecycle on top.
 #pragma once
 
@@ -29,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -52,9 +57,7 @@ inline void CpuRelax() {
 
 template <typename T>
 class MpmcRing {
-  static_assert(std::is_default_constructible_v<T>,
-                "ring cells are constructed empty");
-  static_assert(std::is_move_assignable_v<T>,
+  static_assert(std::is_move_constructible_v<T>,
                 "values move through the ring");
 
  public:
@@ -99,21 +102,21 @@ class MpmcRing {
         pos = head_.load(std::memory_order_relaxed);  // lost the race
       }
     }
-    cell->value = std::move(item);
+    cell->value.emplace(std::move(item));
     // Publish: seq = pos + 1 marks "full, round r"; the release pairs
     // with the consumer's acquire load so the moved value is visible.
     cell->seq.store(pos + 1, std::memory_order_release);
     return true;
   }
 
-  /// Claims the oldest full slot, moves its value into `out`, runs
-  /// `before_free` BETWEEN the move and the slot's release back to
-  /// producers, then frees the slot. The hook is how LockfreeQueue keeps
-  /// its depth counter decrement-before-free: the logical count drops
-  /// while the physical slot is still unavailable, so a depth-admitted
-  /// producer can never find MORE than `capacity` slots claimed.
-  template <typename BeforeFree>
-  bool TryDequeueWith(T& out, BeforeFree&& before_free) {
+  /// Claims the oldest full slot, hands its value to `sink` as an rvalue,
+  /// then frees the slot. The sink runs while the slot is still claimed:
+  /// that is how BoundedQueue keeps its depth counter
+  /// decrement-before-free — the logical count drops while the physical
+  /// slot is still unavailable, so a depth-admitted producer can never
+  /// find MORE than `capacity` slots claimed.
+  template <typename Sink>
+  bool TryDequeue(Sink&& sink) {
     Cell* cell;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
@@ -132,16 +135,12 @@ class MpmcRing {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
-    out = std::move(cell->value);
-    before_free();
+    sink(std::move(*cell->value));
+    cell->value.reset();
     // Free: seq = pos + capacity marks "empty, next round" — the release
     // pairs with a producer's acquire a full lap later.
     cell->seq.store(pos + mask_ + 1, std::memory_order_release);
     return true;
-  }
-
-  bool TryDequeue(T& out) {
-    return TryDequeueWith(out, [] {});
   }
 
   std::size_t capacity() const { return mask_ + 1; }
@@ -149,7 +148,7 @@ class MpmcRing {
  private:
   struct Cell {
     std::atomic<std::size_t> seq;
-    T value;
+    std::optional<T> value;  // engaged exactly while the cell is full
   };
 
   std::unique_ptr<Cell[]> cells_;

@@ -6,20 +6,14 @@
 // metric) instead of unbounded memory growth — the first thing a serving
 // layer needs that the batch experiments never did.
 //
-// Two implementations live behind one surface, selected per queue at
-// construction (QueueKind, default from the MILR_QUEUE env):
+// BoundedQueue is a Vyukov-style bounded MPMC ring (mpmc_ring.h) with
+// eventcount parking (eventcount.h) for backpressure, blocking pops and
+// batch linger. The producer/consumer fast paths take no lock; the
+// eventcount mutex exists only for parked threads. The tests hold it to a
+// mutex + condition_variable oracle with the same surface
+// (tests/mutex_queue_oracle.h).
 //
-//   * MutexQueue — the original mutex + condition_variable queue. Simple
-//     enough to be OBVIOUSLY correct; retained as the oracle the
-//     differential tests (tests/queue_differential_test.cc) run the
-//     lock-free queue against, and as the escape hatch
-//     (MILR_QUEUE=mutex) if the ring misbehaves on an exotic platform.
-//   * LockfreeQueue — a Vyukov-style bounded MPMC ring (mpmc_ring.h)
-//     with eventcount parking (eventcount.h) for backpressure, blocking
-//     pops and batch linger. The producer/consumer fast paths take no
-//     lock; the eventcount mutex exists only for parked threads.
-//
-// Both kinds satisfy the same contract, which the layers above depend on:
+// The contract the layers above depend on:
 //   - Push blocks on full, fails only on closed; TryPush sheds on full or
 //     closed leaving the item untouched; admission stamps (PushWith) fire
 //     at the admission instant, after any backpressure wait.
@@ -31,20 +25,15 @@
 //     relies on).
 //   - size() never undercounts admitted-unconsumed items; DepthRelaxed()
 //     is the advisory lock-free read the scheduler scans.
+//   - No operation default-constructs a T.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,195 +42,21 @@
 
 namespace milr::runtime {
 
-enum class QueueKind {
-  kMutex,     ///< mutex + condition_variable deque (the oracle)
-  kLockfree,  ///< Vyukov MPMC ring + eventcount parking (the hot path)
-};
-
-inline const char* QueueKindName(QueueKind kind) {
-  return kind == QueueKind::kMutex ? "mutex" : "lockfree";
-}
-
-/// Process-wide default, latched from MILR_QUEUE on first use:
-/// "mutex" selects the oracle, anything else (or unset) the lock-free
-/// ring. Tests that need a specific kind pass it explicitly instead.
-inline QueueKind DefaultQueueKind() {
-  static const QueueKind kind = [] {
-    const char* env = std::getenv("MILR_QUEUE");
-    if (env != nullptr && std::string_view(env) == "mutex") {
-      return QueueKind::kMutex;
-    }
-    return QueueKind::kLockfree;
-  }();
-  return kind;
-}
-
-namespace detail {
-
-/// The virtual surface both queue kinds implement. Push carries the
-/// admission hook as a plain function pointer + context (a template can't
-/// be virtual); BoundedQueue::PushWith wraps arbitrary callables through
-/// a trampoline.
-template <typename T>
-class QueueImpl {
- public:
-  using AdmitFn = void (*)(void* ctx, T& item);
-
-  virtual ~QueueImpl() = default;
-  virtual bool Push(T item, AdmitFn on_admit, void* ctx) = 0;
-  virtual bool TryPush(T& item) = 0;
-  virtual std::optional<T> Pop() = 0;
-  virtual std::size_t TryPopBatch(std::vector<T>& out,
-                                  std::size_t max_items,
-                                  std::chrono::microseconds linger) = 0;
-  virtual void Close() = 0;
-  virtual void Reopen() = 0;
-  virtual bool closed() const = 0;
-  virtual std::size_t size() const = 0;
-  virtual std::size_t DepthRelaxed() const = 0;
-  virtual std::size_t capacity() const = 0;
-};
-
-/// The original queue, unchanged in behavior: every operation serializes
-/// on one mutex, so its correctness is a matter of reading each method
-/// once. That simplicity is the point — it is the oracle.
-template <typename T>
-class MutexQueue final : public QueueImpl<T> {
- public:
-  using AdmitFn = typename QueueImpl<T>::AdmitFn;
-
-  explicit MutexQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  bool Push(T item, AdmitFn on_admit, void* ctx) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    if (on_admit != nullptr) on_admit(ctx, item);
-    items_.push_back(std::move(item));
-    PublishDepth();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool TryPush(T& item) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    PublishDepth();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  std::optional<T> Pop() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    PublishDepth();
-    not_full_.notify_one();
-    return item;
-  }
-
-  std::size_t TryPopBatch(std::vector<T>& out, std::size_t max_items,
-                          std::chrono::microseconds linger) override {
-    if (max_items == 0) max_items = 1;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (items_.empty()) return 0;
-    std::size_t taken = 0;
-    // Depth-publish audit (satellite of the lock-free refactor): the
-    // counter republishes after EVERY pop_front below, while the mutex is
-    // held, so the published value always equals the exact deque size at
-    // some instant inside the lock — it can never transiently underflow
-    // past zero or run ahead of the deque the way a detached counter
-    // could. PublishDepth's assert pins the matching upper bound.
-    const auto take_available = [&] {
-      while (!items_.empty() && taken < max_items) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-        PublishDepth();
-        ++taken;
-        not_full_.notify_one();
-      }
-    };
-    take_available();
-    if (taken < max_items && linger.count() > 0 && !closed_) {
-      const auto deadline = std::chrono::steady_clock::now() + linger;
-      while (taken < max_items && !closed_) {
-        if (!not_empty_.wait_until(lock, deadline, [&] {
-              return closed_ || !items_.empty();
-            })) {
-          break;  // linger window expired
-        }
-        take_available();
-      }
-    }
-    return taken;
-  }
-
-  void Close() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  void Reopen() override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = false;
-  }
-
-  bool closed() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t DepthRelaxed() const override {
-    return depth_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t capacity() const override { return capacity_; }
-
- private:
-  /// Callers hold mutex_, so the counter always republishes the exact
-  /// deque size; relaxed suffices because readers tolerate staleness.
-  void PublishDepth() {
-    assert(items_.size() <= capacity_ &&
-           "published depth exceeds queue capacity");
-    depth_.store(items_.size(), std::memory_order_relaxed);
-  }
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  std::atomic<std::size_t> depth_{0};
-  bool closed_ = false;
-};
-
-/// The lock-free queue: a Vyukov ring for storage, one packed state word
-/// for admission + close, and two eventcounts for parking. The state
-/// word is the hot-path trick: bits [0,48) hold the logical depth, bits
-/// [48,63) count producers inside admission→publish, bit 63 is the
-/// closed flag — so ONE CAS per push checks closed, checks capacity,
-/// admits and registers, where three separate atomics would cost three
-/// contended RMWs. The invariants each field carries:
+/// A Vyukov ring for storage, one packed state word for admission + close,
+/// and two eventcounts for parking. The state word is the hot-path trick:
+/// bits [0,48) hold the logical depth, bits [48,63) count producers inside
+/// admission→publish, bit 63 is the closed flag — so ONE CAS per push
+/// checks closed, checks capacity, admits and registers, where three
+/// separate atomics would cost three contended RMWs. The invariants each
+/// field carries:
 ///
 ///   depth    Admission happens by a CAS that refuses to move past the
 ///            logical capacity, so 0 <= depth <= capacity ALWAYS — no
 ///            overshoot-and-correct window a concurrent scan could
 ///            observe. An admitted producer owns one unit of depth until
 ///            a consumer's decrement. Single pops decrement BETWEEN
-///            moving the value out and freeing the ring slot
-///            (MpmcRing::TryDequeueWith); batch pops free their slots as
+///            moving the value out and freeing the ring slot (inside the
+///            MpmcRing::TryDequeue sink); batch pops free their slots as
 ///            they claim and settle the whole batch in one decrement at
 ///            the end — deferral only ever OVERcounts, so the depth a
 ///            concurrent scan reads still never exceeds capacity and
@@ -267,17 +82,28 @@ class MutexQueue final : public QueueImpl<T> {
 ///            decrement / closed store), which with the eventcount's
 ///            Dekker protocol rules out lost wakeups.
 template <typename T>
-class LockfreeQueue final : public QueueImpl<T> {
+class BoundedQueue {
  public:
-  using AdmitFn = typename QueueImpl<T>::AdmitFn;
-
-  explicit LockfreeQueue(std::size_t capacity)
+  explicit BoundedQueue(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity),
         ring_(capacity == 0 ? 1 : capacity) {}
 
-  bool Push(T item, AdmitFn on_admit, void* ctx) override {
+  BoundedQueue(const BoundedQueue&) = delete;
+  BoundedQueue& operator=(const BoundedQueue&) = delete;
+
+  /// Blocks while the queue is full. Returns false (and drops `item`) only
+  /// if the queue was closed.
+  bool Push(T item) {
+    return PushWith(std::move(item), [](T&) {});
+  }
+
+  /// Push that invokes `on_admit(item)` at the admission instant — after
+  /// any backpressure wait — so callers can stamp admission time without
+  /// counting the blocked wait as queue residency.
+  template <typename AdmitFn>
+  bool PushWith(T item, AdmitFn on_admit) {
     for (;;) {
-      const PushResult result = TryPushInternal(item, on_admit, ctx);
+      const PushResult result = TryPushInternal(item, on_admit);
       if (result == PushResult::kPushed) return true;
       if (result == PushResult::kClosed) return false;
       // Full: park until a consumer frees depth (or the queue closes).
@@ -291,14 +117,33 @@ class LockfreeQueue final : public QueueImpl<T> {
     }
   }
 
-  bool TryPush(T& item) override {
-    return TryPushInternal(item, nullptr, nullptr) == PushResult::kPushed;
+  /// Non-blocking admission: returns false when full or closed, leaving
+  /// `item` untouched so the caller can shed the load explicitly.
+  bool TryPush(T& item) {
+    return TryPushInternal(item, [](T&) {}) == PushResult::kPushed;
   }
 
-  std::optional<T> Pop() override {
-    T item;
+  /// Blocks until an item is available. Returns nullopt once the queue is
+  /// closed *and* drained — consumers finish all admitted work before exit.
+  std::optional<T> Pop() {
+    std::optional<T> item;
     for (;;) {
-      if (TryDequeueInternal(item)) {
+      const bool got = ring_.TryDequeue([&](T&& value) {
+        item.emplace(std::move(value));
+        // Decrement BETWEEN the value move and the slot free: the logical
+        // count drops first, so admission (bounded by the depth field)
+        // can never outnumber physical slots, and the matched add/sub
+        // pairing means the counter can never underflow — which these
+        // asserts pin.
+        const std::uint64_t prev =
+            state_.fetch_sub(1, std::memory_order_seq_cst);
+        assert((prev & kDepthMask) >= 1 &&
+               "depth underflow: pop without matching push");
+        assert((prev & kDepthMask) <= capacity_ &&
+               "depth diverged past capacity");
+        (void)prev;
+      });
+      if (got) {
         not_full_.NotifyOne();
         return item;
       }
@@ -316,13 +161,20 @@ class LockfreeQueue final : public QueueImpl<T> {
     }
   }
 
+  /// Batched pop for the micro-batcher, shaped for shared-pool workers: a
+  /// worker holding a scheduler grant must never sleep on one model's
+  /// empty queue while other models have backlog, so an empty queue
+  /// returns 0 immediately (whether open or closed — closed-with-backlog
+  /// still drains). Otherwise appends up to `max_items` to `out`; when
+  /// the backlog alone cannot fill the batch and `linger` is positive,
+  /// waits up to `linger` for more arrivals before returning — trading a
+  /// bounded slice of latency for fuller batches. A closed queue never
+  /// lingers: shutdown drains in whatever batch sizes the backlog
+  /// provides.
   std::size_t TryPopBatch(std::vector<T>& out, std::size_t max_items,
-                          std::chrono::microseconds linger) override {
+                          std::chrono::microseconds linger) {
     if (max_items == 0) max_items = 1;
     std::size_t taken = TakeAvailable(out, max_items);
-    // Same contract as the oracle: an empty queue returns 0 immediately
-    // whether open or closed — a granted worker never parks on one
-    // model's empty queue while peers may have backlog.
     if (taken == 0) return 0;
     if (taken < max_items && linger.count() > 0 && !closed()) {
       const auto deadline = std::chrono::steady_clock::now() + linger;
@@ -352,7 +204,11 @@ class LockfreeQueue final : public QueueImpl<T> {
     return taken;
   }
 
-  void Close() override {
+  /// Stops admission; blocked producers return false, consumers drain the
+  /// remaining items and then see nullopt. When Close() returns, every
+  /// push that succeeded is visible to consumers and no later push can
+  /// succeed.
+  void Close() {
     state_.fetch_or(kClosedBit, std::memory_order_seq_cst);
     not_full_.NotifyAll();
     not_empty_.NotifyAll();
@@ -368,27 +224,37 @@ class LockfreeQueue final : public QueueImpl<T> {
     }
   }
 
-  void Reopen() override {
+  /// Restart support: re-enables admission after Close(). The owner must
+  /// have drained the queue first — reopening over a backlog would revive
+  /// requests whose producers were already told "closed".
+  void Reopen() {
     state_.fetch_and(~kClosedBit, std::memory_order_seq_cst);
   }
 
-  bool closed() const override {
+  bool closed() const {
     return (state_.load(std::memory_order_seq_cst) & kClosedBit) != 0;
   }
 
-  /// Exact for the "closed and drained?" question the drain loops ask:
-  /// the depth field covers admitted-but-not-yet-ring-published pushes
+  /// Exact count of admitted-unconsumed items — the read the drain logic
+  /// (ModelRuntime::Drained, shutdown loops) orders against in_flight.
+  /// The depth field covers admitted-but-not-yet-ring-published pushes
   /// too, so size() == 0 on a closed queue means every admitted item was
   /// handed to a consumer (see the class comment's depth invariant).
-  std::size_t size() const override {
+  std::size_t size() const {
     return state_.load(std::memory_order_seq_cst) & kDepthMask;
   }
 
-  std::size_t DepthRelaxed() const override {
+  /// Relaxed depth for ADVISORY consumers only — the scheduler's backlog
+  /// scan reads every co-hosted queue per grant. A scan may see a depth
+  /// one mutation stale; the DRR grant it produces was already advisory
+  /// (the worker's pop re-checks), so staleness costs at most one wasted
+  /// visit. Anything that needs an exact answer ordered against other
+  /// state must use size().
+  std::size_t DepthRelaxed() const {
     return state_.load(std::memory_order_relaxed) & kDepthMask;
   }
 
-  std::size_t capacity() const override { return capacity_; }
+  std::size_t capacity() const { return capacity_; }
 
  private:
   enum class PushResult { kPushed, kFull, kClosed };
@@ -400,7 +266,8 @@ class LockfreeQueue final : public QueueImpl<T> {
       ((std::uint64_t{1} << 15) - 1) << 48;
   static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
 
-  PushResult TryPushInternal(T& item, AdmitFn on_admit, void* ctx) {
+  template <typename AdmitFn>
+  PushResult TryPushInternal(T& item, AdmitFn&& on_admit) {
     std::uint64_t s = state_.load(std::memory_order_seq_cst);
     for (;;) {
       if ((s & kClosedBit) != 0) return PushResult::kClosed;
@@ -418,9 +285,8 @@ class LockfreeQueue final : public QueueImpl<T> {
         break;
       }
     }
-    // Admitted: stamp at the admission instant (after any backpressure,
-    // matching the oracle's inside-the-lock stamp)...
-    if (on_admit != nullptr) on_admit(ctx, item);
+    // Admitted: stamp at the admission instant (after any backpressure)...
+    on_admit(item);
     // ...then claim a ring slot. Admission bounds live claims to
     // capacity <= ring capacity, so the only way this fails is a slot
     // whose consumer took the value but has not yet freed the cell —
@@ -432,22 +298,6 @@ class LockfreeQueue final : public QueueImpl<T> {
     (void)prev;
     not_empty_.NotifyOne();
     return PushResult::kPushed;
-  }
-
-  bool TryDequeueInternal(T& out) {
-    return ring_.TryDequeueWith(out, [this] {
-      // Decrement BETWEEN the value move and the slot free: the logical
-      // count drops first, so admission (bounded by the depth field) can
-      // never outnumber physical slots, and the matched add/sub pairing
-      // means the counter can never underflow — which these asserts pin.
-      const std::uint64_t prev =
-          state_.fetch_sub(1, std::memory_order_seq_cst);
-      assert((prev & kDepthMask) >= 1 &&
-             "depth underflow: pop without matching push");
-      assert((prev & kDepthMask) <= capacity_ &&
-             "depth diverged past capacity");
-      (void)prev;
-    });
   }
 
   /// Drains up to `want` immediately-available items into `out`. When the
@@ -464,11 +314,13 @@ class LockfreeQueue final : public QueueImpl<T> {
   /// still holds). A producer spinning on ring space during that window
   /// stays bounded: the slots ARE free, it is only the counter lagging.
   std::size_t TakeAvailable(std::vector<T>& out, std::size_t want) {
+    // The sink runs while it holds a ring slot. ModelRuntime::ServeSome
+    // reserves max_batch up front, so on the serving path this push_back
+    // never reallocates inside that window.
+    const auto sink = [&out](T&& value) { out.push_back(std::move(value)); };
     std::size_t taken = 0;
-    T item;
     while (taken < want) {
-      if (ring_.TryDequeueWith(item, [] {})) {
-        out.push_back(std::move(item));
+      if (ring_.TryDequeue(sink)) {
         ++taken;
         continue;
       }
@@ -481,10 +333,9 @@ class LockfreeQueue final : public QueueImpl<T> {
       bool got = false;
       for (int spins = 0; spins < 128 && !got; ++spins) {
         CpuRelax();
-        got = ring_.TryDequeueWith(item, [] {});
+        got = ring_.TryDequeue(sink);
       }
       if (!got) break;
-      out.push_back(std::move(item));
       ++taken;
     }
     if (taken > 0) {
@@ -516,100 +367,6 @@ class LockfreeQueue final : public QueueImpl<T> {
   std::atomic<std::uint64_t> state_{0};
   EventCount not_full_;
   EventCount not_empty_;
-};
-
-}  // namespace detail
-
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity,
-                        QueueKind kind = DefaultQueueKind())
-      : kind_(kind) {
-    if (kind == QueueKind::kMutex) {
-      impl_ = std::make_unique<detail::MutexQueue<T>>(capacity);
-    } else {
-      impl_ = std::make_unique<detail::LockfreeQueue<T>>(capacity);
-    }
-  }
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Blocks while the queue is full. Returns false (and drops `item`) only
-  /// if the queue was closed.
-  bool Push(T item) { return impl_->Push(std::move(item), nullptr, nullptr); }
-
-  /// Push that invokes `on_admit(item)` at the admission instant — after
-  /// any backpressure wait — so callers can stamp admission time without
-  /// counting the blocked wait as queue residency.
-  template <typename AdmitFn>
-  bool PushWith(T item, AdmitFn on_admit) {
-    // Trampoline: the impl surface is virtual, so the callable crosses it
-    // as a plain function pointer + context.
-    return impl_->Push(
-        std::move(item),
-        [](void* ctx, T& t) { (*static_cast<AdmitFn*>(ctx))(t); },
-        &on_admit);
-  }
-
-  /// Non-blocking admission: returns false when full or closed, leaving
-  /// `item` untouched so the caller can shed the load explicitly.
-  bool TryPush(T& item) { return impl_->TryPush(item); }
-
-  /// Blocks until an item is available. Returns nullopt once the queue is
-  /// closed *and* drained — consumers finish all admitted work before exit.
-  std::optional<T> Pop() { return impl_->Pop(); }
-
-  /// Batched pop for the micro-batcher, shaped for shared-pool workers: a
-  /// worker holding a scheduler grant must never sleep on one model's
-  /// empty queue while other models have backlog, so an empty queue
-  /// returns 0 immediately (whether open or closed — closed-with-backlog
-  /// still drains). Otherwise appends up to `max_items` to `out`; when
-  /// the backlog alone cannot fill the batch and `linger` is positive,
-  /// waits up to `linger` for more arrivals before returning — trading a
-  /// bounded slice of latency for fuller batches. A closed queue never
-  /// lingers: shutdown drains in whatever batch sizes the backlog
-  /// provides.
-  std::size_t TryPopBatch(std::vector<T>& out, std::size_t max_items,
-                          std::chrono::microseconds linger) {
-    return impl_->TryPopBatch(out, max_items, linger);
-  }
-
-  /// Stops admission; blocked producers return false, consumers drain the
-  /// remaining items and then see nullopt. When Close() returns, every
-  /// push that succeeded is visible to consumers and no later push can
-  /// succeed (both kinds guarantee it; the lock-free queue's pusher
-  /// handshake exists for exactly this).
-  void Close() { impl_->Close(); }
-
-  /// Restart support: re-enables admission after Close(). The owner must
-  /// have drained the queue first — reopening over a backlog would revive
-  /// requests whose producers were already told "closed".
-  void Reopen() { impl_->Reopen(); }
-
-  bool closed() const { return impl_->closed(); }
-
-  /// Exact count of admitted-unconsumed items — the read the drain logic
-  /// (ModelRuntime::Drained, shutdown loops) orders against in_flight.
-  std::size_t size() const { return impl_->size(); }
-
-  /// Lock-free approximate depth for ADVISORY consumers only — the
-  /// scheduler's backlog scan reads every co-hosted queue per grant, and
-  /// taking each queue's lock there would serialize the scan against all
-  /// producers. A scan may see a depth one mutation stale; the DRR grant
-  /// it produces was already advisory (the worker's pop re-checks), so
-  /// staleness costs at most one wasted visit. Anything that needs an
-  /// exact answer ordered against other state must use size().
-  std::size_t DepthRelaxed() const { return impl_->DepthRelaxed(); }
-
-  std::size_t capacity() const { return impl_->capacity(); }
-
-  QueueKind kind() const { return kind_; }
-
- private:
-  QueueKind kind_;
-  std::unique_ptr<detail::QueueImpl<T>> impl_;
 };
 
 }  // namespace milr::runtime

@@ -19,7 +19,7 @@ constexpr double kMinWeight = 1e-3;
 std::size_t Scheduler::BacklogDepth(const Entry& entry) {
   // Relaxed depth: the scan visits every co-hosted queue per grant, and a
   // locked read would serialize it against all producers. See the header
-  // for the exact contract both queue kinds satisfy here.
+  // for the exact contract.
   return entry.runtime->QueueDepthRelaxed();
 }
 
@@ -161,8 +161,8 @@ std::optional<Scheduler::Grant> Scheduler::NextWork() {
 
 bool Scheduler::HasPendingOther(const ModelRuntime* self) const {
   // The mutex guards the entries_ vector only; the depth reads go through
-  // the same BacklogDepth contract the grant scan uses, so both queue
-  // kinds give this the same may-be-stale, never-undercounting answer.
+  // the same BacklogDepth contract the grant scan uses, so this gets the
+  // same may-be-stale, never-undercounting answer.
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& entry : entries_) {
     if (entry.runtime.get() == self) continue;

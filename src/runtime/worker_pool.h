@@ -105,12 +105,12 @@ class Scheduler {
 
   /// The one way every scheduler scan reads a runtime's backlog — the
   /// DRR scan, the accrual jump, and HasPendingOther all go through it,
-  /// so both queue kinds face a single contract: the returned depth never
-  /// undercounts admitted-unconsumed work, but may run one mutation stale
-  /// (and, for the lock-free queue, may count a push still between
-  /// admission and ring publish). Either error is benign here — a grant
-  /// is advisory (the worker's pop re-checks) and a skipped entry is
-  /// re-signalled by its producer's NotifyWork.
+  /// under a single contract: the returned depth never undercounts
+  /// admitted-unconsumed work, but may run one mutation stale (and may
+  /// count a push still between admission and ring publish). Either
+  /// error is benign here — a grant is advisory (the worker's pop
+  /// re-checks) and a skipped entry is re-signalled by its producer's
+  /// NotifyWork.
   static std::size_t BacklogDepth(const Entry& entry);
 
   mutable std::mutex mutex_;          // entries_/cursor_/shutdown_/drain state

@@ -1,19 +1,21 @@
-// BoundedQueue contract tests, parameterized over BOTH implementations
-// (mutex oracle and lock-free ring): every behavior the layers above
-// depend on — TryPopBatch racing Close, Reopen after a drain, linger
-// wake-ups, blocking-push backpressure, racing-PopBatch conservation and
-// the advisory depth counter's bounds — must hold identically for the two
-// kinds, because queue selection is a runtime config knob (MILR_QUEUE).
-// Runs under TSan in CI.
+// BoundedQueue contract tests, typed over the lock-free ring and the mutex
+// oracle (tests/mutex_queue_oracle.h): every behavior the layers above
+// depend on — FIFO order, shedding, TryPopBatch racing Close, Reopen after
+// a drain, linger wake-ups, blocking-push backpressure, racing-PopBatch
+// conservation and the advisory depth counter's bounds — must hold for
+// the ring exactly as it does for the obviously-correct oracle. Runs
+// under TSan in CI.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mutex_queue_oracle.h"
 #include "runtime/request_queue.h"
 
 namespace milr::runtime {
@@ -21,20 +23,65 @@ namespace {
 
 using namespace std::chrono_literals;
 
-class BoundedQueueTest : public ::testing::TestWithParam<QueueKind> {
- protected:
-  QueueKind kind() const { return GetParam(); }
+template <typename Queue>
+class BoundedQueueTest : public ::testing::Test {};
+
+using QueueTypes = ::testing::Types<BoundedQueue<int>, MutexQueue<int>>;
+
+struct QueueTypeNames {
+  template <typename Queue>
+  static std::string GetName(int) {
+    return std::is_same_v<Queue, BoundedQueue<int>> ? "Ring" : "MutexOracle";
+  }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    BothKinds, BoundedQueueTest,
-    ::testing::Values(QueueKind::kMutex, QueueKind::kLockfree),
-    [](const ::testing::TestParamInfo<QueueKind>& info) {
-      return std::string(QueueKindName(info.param));
-    });
+TYPED_TEST_SUITE(BoundedQueueTest, QueueTypes, QueueTypeNames);
 
-TEST_P(BoundedQueueTest, TryPopBatchEmptyReturnsImmediatelyOpenOrClosed) {
-  BoundedQueue<int> queue(8, kind());
+TYPED_TEST(BoundedQueueTest, FifoOrder) {
+  TypeParam queue(8);
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.Push(i));
+  for (int i = 0; i < 5; ++i) {
+    auto item = queue.Pop();
+    ASSERT_TRUE(item.has_value());
+    EXPECT_EQ(*item, i);
+  }
+}
+
+TYPED_TEST(BoundedQueueTest, TryPushShedsWhenFull) {
+  TypeParam queue(2);
+  int a = 1, b = 2, c = 3;
+  EXPECT_TRUE(queue.TryPush(a));
+  EXPECT_TRUE(queue.TryPush(b));
+  EXPECT_FALSE(queue.TryPush(c));
+  EXPECT_EQ(queue.size(), 2u);
+}
+
+TYPED_TEST(BoundedQueueTest, CloseDrainsThenSignalsConsumers) {
+  TypeParam queue(8);
+  EXPECT_TRUE(queue.Push(7));
+  queue.Close();
+  EXPECT_FALSE(queue.Push(8));  // admission stopped
+  auto item = queue.Pop();
+  ASSERT_TRUE(item.has_value());  // admitted work still drains
+  EXPECT_EQ(*item, 7);
+  EXPECT_FALSE(queue.Pop().has_value());
+}
+
+TYPED_TEST(BoundedQueueTest, BlockedConsumerWakesOnPush) {
+  TypeParam queue(4);
+  std::atomic<int> got{-1};
+  std::thread consumer([&] {
+    auto item = queue.Pop();
+    got.store(item.value_or(-2));
+  });
+  std::this_thread::sleep_for(10ms);
+  EXPECT_TRUE(queue.Push(99));
+  consumer.join();
+  EXPECT_EQ(got.load(), 99);
+}
+
+TYPED_TEST(BoundedQueueTest, TryPopBatchEmptyReturnsImmediatelyOpenOrClosed) {
+  TypeParam queue(8);
   std::vector<int> out;
   // Open + empty: no linger may be paid (a granted worker must never park
   // on an empty queue).
@@ -45,8 +92,8 @@ TEST_P(BoundedQueueTest, TryPopBatchEmptyReturnsImmediatelyOpenOrClosed) {
   EXPECT_EQ(queue.TryPopBatch(out, 4, 200ms), 0u);
 }
 
-TEST_P(BoundedQueueTest, ClosedQueueDrainsBacklogWithoutLinger) {
-  BoundedQueue<int> queue(8, kind());
+TYPED_TEST(BoundedQueueTest, ClosedQueueDrainsBacklogWithoutLinger) {
+  TypeParam queue(8);
   for (int i = 0; i < 5; ++i) {
     int v = i;
     ASSERT_TRUE(queue.TryPush(v));
@@ -64,8 +111,8 @@ TEST_P(BoundedQueueTest, ClosedQueueDrainsBacklogWithoutLinger) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
 }
 
-TEST_P(BoundedQueueTest, LingerFillsBatchFromLateArrivals) {
-  BoundedQueue<int> queue(8, kind());
+TYPED_TEST(BoundedQueueTest, LingerFillsBatchFromLateArrivals) {
+  TypeParam queue(8);
   int v = 0;
   ASSERT_TRUE(queue.TryPush(v));
   std::thread producer([&] {
@@ -81,8 +128,8 @@ TEST_P(BoundedQueueTest, LingerFillsBatchFromLateArrivals) {
   producer.join();
 }
 
-TEST_P(BoundedQueueTest, CloseWakesLingeringConsumer) {
-  BoundedQueue<int> queue(8, kind());
+TYPED_TEST(BoundedQueueTest, CloseWakesLingeringConsumer) {
+  TypeParam queue(8);
   int v = 0;
   ASSERT_TRUE(queue.TryPush(v));
   std::thread closer([&] {
@@ -98,8 +145,8 @@ TEST_P(BoundedQueueTest, CloseWakesLingeringConsumer) {
   closer.join();
 }
 
-TEST_P(BoundedQueueTest, ReopenAfterDrainRestoresAdmissionAndDepth) {
-  BoundedQueue<int> queue(4, kind());
+TYPED_TEST(BoundedQueueTest, ReopenAfterDrainRestoresAdmissionAndDepth) {
+  TypeParam queue(4);
   int v = 1;
   ASSERT_TRUE(queue.TryPush(v));
   queue.Close();
@@ -121,8 +168,8 @@ TEST_P(BoundedQueueTest, ReopenAfterDrainRestoresAdmissionAndDepth) {
   EXPECT_EQ(queue.DepthRelaxed(), 1u);
 }
 
-TEST_P(BoundedQueueTest, DepthTracksSizeThroughEveryMutation) {
-  BoundedQueue<int> queue(8, kind());
+TYPED_TEST(BoundedQueueTest, DepthTracksSizeThroughEveryMutation) {
+  TypeParam queue(8);
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(queue.Push(i));
     EXPECT_EQ(queue.DepthRelaxed(), queue.size());
@@ -134,12 +181,12 @@ TEST_P(BoundedQueueTest, DepthTracksSizeThroughEveryMutation) {
   EXPECT_EQ(queue.DepthRelaxed(), 1u);
 }
 
-TEST_P(BoundedQueueTest, TryPushShedsAtExactLogicalCapacity) {
+TYPED_TEST(BoundedQueueTest, TryPushShedsAtExactLogicalCapacity) {
   // The lock-free ring rounds its PHYSICAL capacity to a power of two,
   // but admission must honor the LOGICAL capacity the caller configured —
   // the shed point the rejection metrics and the co-hosting memory
   // budgets are calibrated against.
-  BoundedQueue<int> queue(3, kind());
+  TypeParam queue(3);
   EXPECT_EQ(queue.capacity(), 3u);
   for (int i = 0; i < 3; ++i) {
     int v = i;
@@ -151,8 +198,8 @@ TEST_P(BoundedQueueTest, TryPushShedsAtExactLogicalCapacity) {
   EXPECT_EQ(queue.size(), 3u);
 }
 
-TEST_P(BoundedQueueTest, PushBlocksOnFullUntilPopFrees) {
-  BoundedQueue<int> queue(2, kind());
+TYPED_TEST(BoundedQueueTest, PushBlocksOnFullUntilPopFrees) {
+  TypeParam queue(2);
   EXPECT_TRUE(queue.Push(0));
   EXPECT_TRUE(queue.Push(1));
   std::atomic<bool> pushed{false};
@@ -170,8 +217,8 @@ TEST_P(BoundedQueueTest, PushBlocksOnFullUntilPopFrees) {
   EXPECT_EQ(queue.size(), 2u);
 }
 
-TEST_P(BoundedQueueTest, CloseWakesBlockedProducer) {
-  BoundedQueue<int> queue(1, kind());
+TYPED_TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
+  TypeParam queue(1);
   EXPECT_TRUE(queue.Push(0));
   std::atomic<bool> bounced{false};
   std::thread producer([&] {
@@ -185,12 +232,12 @@ TEST_P(BoundedQueueTest, CloseWakesBlockedProducer) {
   EXPECT_EQ(queue.size(), 1u);  // the original item drains normally
 }
 
-TEST_P(BoundedQueueTest, TryPopBatchRacingCloseLosesNoItems) {
+TYPED_TEST(BoundedQueueTest, TryPopBatchRacingCloseLosesNoItems) {
   // Producers block in Push until Close bounces them; consumers drain
   // with TryPopBatch through the closure. Every admitted item must come
   // out exactly once — the Stop() drain guarantee the pool relies on.
   for (int round = 0; round < 20; ++round) {
-    BoundedQueue<int> queue(16, kind());
+    TypeParam queue(16);
     std::atomic<int> admitted{0};
     std::atomic<int> popped{0};
     std::vector<std::thread> producers;
@@ -231,7 +278,7 @@ TEST_P(BoundedQueueTest, TryPopBatchRacingCloseLosesNoItems) {
   }
 }
 
-TEST_P(BoundedQueueTest, RacingPopBatchConsumersShareTheBacklogExactly) {
+TYPED_TEST(BoundedQueueTest, RacingPopBatchConsumersShareTheBacklogExactly) {
   // Several consumers batch-pop one producer stream concurrently: the
   // union of their batches must be the exact item set (no loss, no
   // duplication — the ABA case the ring's per-cell sequences exist for),
@@ -240,7 +287,7 @@ TEST_P(BoundedQueueTest, RacingPopBatchConsumersShareTheBacklogExactly) {
   // consumer can never see reordered items).
   constexpr int kItems = 4000;
   constexpr int kConsumers = 3;
-  BoundedQueue<int> queue(32, kind());
+  TypeParam queue(32);
   std::vector<std::vector<int>> got(kConsumers);
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
@@ -277,11 +324,11 @@ TEST_P(BoundedQueueTest, RacingPopBatchConsumersShareTheBacklogExactly) {
   }
 }
 
-TEST_P(BoundedQueueTest, CloseWhilePoppingHandsOffEveryBlockedConsumer) {
+TYPED_TEST(BoundedQueueTest, CloseWhilePoppingHandsOffEveryBlockedConsumer) {
   // Blocking Pop consumers parked on an empty queue: Close must wake all
   // of them into the nullopt exit, and items pushed before Close must
   // each land in exactly one consumer.
-  BoundedQueue<int> queue(8, kind());
+  TypeParam queue(8);
   std::atomic<int> received{0};
   std::atomic<int> exited{0};
   std::vector<std::thread> consumers;
@@ -304,8 +351,8 @@ TEST_P(BoundedQueueTest, CloseWhilePoppingHandsOffEveryBlockedConsumer) {
   EXPECT_EQ(exited.load(), 4);
 }
 
-TEST_P(BoundedQueueTest, DepthConsistentUnderRacingPushPop) {
-  BoundedQueue<int> queue(32, kind());
+TYPED_TEST(BoundedQueueTest, DepthConsistentUnderRacingPushPop) {
+  TypeParam queue(32);
   std::atomic<bool> stop{false};
   // A racing reader hammers the relaxed depth like the scheduler scan
   // does; under TSan this is the no-data-race proof, and the bound check
@@ -339,6 +386,33 @@ TEST_P(BoundedQueueTest, DepthConsistentUnderRacingPushPop) {
   scanner.join();
   // Quiesced: the published depth must equal the exact size.
   EXPECT_EQ(queue.DepthRelaxed(), queue.size());
+}
+
+// A serving request carries a std::promise, whose default constructor
+// allocates; the ring holds values in std::optional cells and pops through
+// a move-constructing sink, so no queue operation default-constructs one.
+struct CountedItem {
+  static inline std::atomic<int> default_constructed{0};
+  CountedItem() { default_constructed.fetch_add(1); }
+  explicit CountedItem(int v) : value(v) {}
+  int value = 0;
+};
+
+TEST(RingStorageTest, NoOperationDefaultConstructsAnItem) {
+  CountedItem::default_constructed.store(0);
+  BoundedQueue<CountedItem> queue(16);
+  EXPECT_EQ(CountedItem::default_constructed.load(), 0) << "construction";
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(queue.Push(CountedItem(i)));
+
+  auto popped = queue.Pop();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->value, 0);
+  EXPECT_EQ(CountedItem::default_constructed.load(), 0) << "Pop";
+
+  std::vector<CountedItem> out;
+  ASSERT_EQ(queue.TryPopBatch(out, 4, 0us), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i].value, i + 1);
+  EXPECT_EQ(CountedItem::default_constructed.load(), 0) << "TryPopBatch";
 }
 
 }  // namespace

@@ -574,30 +574,6 @@ TEST(ConvInt8, TopOneAgreementOnConvNet) {
   model.set_kernel_config(nn::KernelConfig::kExact);
 }
 
-// --------------------------------------------- MILR_PATCH_BUDGET parsing
-
-TEST(ParsePatchBudgetEnv, AcceptsPositiveByteCounts) {
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("1"), 1u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("8388608"), 8388608u);
-  // Leading whitespace and a trailing newline (common in shell exports)
-  // are fine; the digits still parse unambiguously.
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("  4096"), 4096u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("4096\n"), 4096u);
-}
-
-TEST(ParsePatchBudgetEnv, RejectsZeroNegativeAndGarbage) {
-  // 0 is the sentinel for "invalid, use the derived default" — a zero
-  // budget would force 1-row streaming forever, so it is rejected too.
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("0"), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("-4096"), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("banana"), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("4096MB"), 0u);  // trailing garbage
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("40 96"), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv(""), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv(nullptr), 0u);
-  EXPECT_EQ(nn::ParsePatchBudgetEnv("999999999999999999999999"), 0u);
-}
-
 TEST(DenseInt8, TopOneAgreementOnServingNet) {
   // End-to-end acceptance proxy: the bench nets' int8 top-1 must track
   // exact >= 99%. A dense MLP with He-init weights and random probes is

@@ -1,34 +1,28 @@
-// Differential validation of the lock-free queue against the mutex
-// oracle (the reason the oracle stays in the tree):
+// Differential validation of the lock-free BoundedQueue against the mutex
+// oracle (tests/mutex_queue_oracle.h):
 //
-//   1. Sequential lockstep — a seeded random op script drives BOTH queue
-//      kinds one op at a time; every return value, popped item, size,
-//      depth and closed flag must match EXACTLY, op for op. Sequentially
-//      the two implementations are observationally identical by
-//      contract, so any divergence is a bug with a replayable seed.
+//   1. Sequential lockstep — a seeded random op script drives BOTH queues
+//      one op at a time; every return value, popped item, size, depth and
+//      closed flag must match EXACTLY, op for op. Sequentially the two
+//      implementations are observationally identical by contract, so any
+//      divergence is a bug with a replayable seed.
 //   2. Concurrent workloads — the same seeded producer/consumer mix runs
-//      on each kind; interleavings differ, so the comparison is the
+//      on each queue; interleavings differ, so the comparison is the
 //      invariants (conservation, per-producer FIFO, exact settle), which
 //      must hold for both.
-//   3. End-to-end serving — the acceptance bar: the same model, the same
-//      requests, one engine per queue kind, bit-identical outputs.
 //
 // Runs under TSan in CI next to the litmus harnesses.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "nn/init.h"
-#include "runtime/engine.h"
+#include "mutex_queue_oracle.h"
 #include "runtime/request_queue.h"
-#include "support/prng.h"
 
 namespace milr::runtime {
 namespace {
@@ -40,8 +34,8 @@ using namespace std::chrono_literals;
 TEST(QueueDifferentialTest, SequentialScriptMatchesOracleExactly) {
   constexpr std::size_t kCapacity = 6;
   constexpr int kOps = 20000;
-  BoundedQueue<int> oracle(kCapacity, QueueKind::kMutex);
-  BoundedQueue<int> ring(kCapacity, QueueKind::kLockfree);
+  MutexQueue<int> oracle(kCapacity);
+  BoundedQueue<int> ring(kCapacity);
   std::mt19937 rng(20260808u);
   std::uniform_int_distribution<int> op_dist(0, 99);
   int next_value = 0;
@@ -65,7 +59,9 @@ TEST(QueueDifferentialTest, SequentialScriptMatchesOracleExactly) {
         const auto a = oracle.Pop();
         const auto b = ring.Pop();
         ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
-        if (a.has_value()) ASSERT_EQ(*a, *b) << "op " << op;
+        if (a.has_value()) {
+          ASSERT_EQ(*a, *b) << "op " << op;
+        }
       }
     } else if (roll < 85) {
       std::vector<int> a, b;
@@ -96,15 +92,16 @@ struct WorkloadResult {
   std::uint64_t consumed = 0;
 };
 
-/// Runs a seeded producers×consumers mix on one queue kind and checks
+/// Runs a seeded producers×consumers mix on one queue type and checks
 /// the interleaving-independent invariants inline (per-consumer
 /// per-producer FIFO). Returns the totals for the conservation check.
-WorkloadResult RunWorkload(QueueKind kind, unsigned seed) {
+template <typename Queue>
+WorkloadResult RunWorkload(const char* name, unsigned seed) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 3000;
   constexpr std::uint64_t kStride = 1u << 20;
-  BoundedQueue<std::uint64_t> queue(24, kind);
+  Queue queue(24);
   WorkloadResult result;
   std::atomic<std::uint64_t> admitted{0};
   std::atomic<std::uint64_t> shed{0};
@@ -152,7 +149,7 @@ WorkloadResult RunWorkload(QueueKind kind, unsigned seed) {
             // A consumer's own stream respects each producer's push
             // order — FIFO dequeue means no consumer can see producer
             // p's item k after item k+1.
-            EXPECT_GT(s, last[p]) << "kind " << QueueKindName(kind);
+            EXPECT_GT(s, last[p]) << name;
           }
           started[p] = true;
           last[p] = s;
@@ -170,7 +167,7 @@ WorkloadResult RunWorkload(QueueKind kind, unsigned seed) {
   for (std::size_t t = kProducers; t < threads.size(); ++t) {
     threads[t].join();
   }
-  EXPECT_EQ(queue.size(), 0u) << "kind " << QueueKindName(kind);
+  EXPECT_EQ(queue.size(), 0u) << name;
   result.admitted = admitted.load();
   result.shed = shed.load();
   result.consumed = consumed.load();
@@ -179,75 +176,16 @@ WorkloadResult RunWorkload(QueueKind kind, unsigned seed) {
 
 TEST(QueueDifferentialTest, ConcurrentWorkloadInvariantsHoldOnBothKinds) {
   for (unsigned seed : {7u, 99u, 20260808u}) {
-    for (const QueueKind kind :
-         {QueueKind::kMutex, QueueKind::kLockfree}) {
-      const WorkloadResult r = RunWorkload(kind, seed);
-      // Conservation: every admitted item is consumed exactly once, and
-      // admitted + shed accounts for every push attempt that returned.
-      EXPECT_EQ(r.consumed, r.admitted)
-          << "kind " << QueueKindName(kind) << " seed " << seed;
-      EXPECT_GT(r.admitted, 0u)
-          << "kind " << QueueKindName(kind) << " seed " << seed;
-    }
-  }
-}
-
-// ------------------------------------------------ end-to-end serving
-
-/// Same topology as the protector/runtime tests.
-nn::Model TestModel() {
-  nn::Model model(Shape{10, 10, 1});
-  model.AddConv(3, 12, nn::Padding::kValid).AddBias().AddReLU();
-  model.AddMaxPool(2);
-  model.AddConv(3, 8, nn::Padding::kValid).AddBias().AddReLU();
-  model.AddFlatten();
-  model.AddDense(6).AddBias().AddReLU();
-  model.AddDense(3).AddBias();
-  nn::InitHeUniform(model, 42);
-  return model;
-}
-
-TEST(QueueDifferentialTest, ServingBitIdenticalAcrossQueueKinds) {
-  // The acceptance bar: identical requests through an engine per queue
-  // kind (exact kernel tier, scrubber off) produce bit-identical
-  // outputs — the queue moves requests, it must never change results.
-  Prng prng(4321);
-  std::vector<Tensor> probes;
-  for (int i = 0; i < 12; ++i) {
-    probes.push_back(RandomTensor(Shape{10, 10, 1}, prng));
-  }
-
-  std::vector<std::vector<Tensor>> outputs;
-  for (const QueueKind kind :
-       {QueueKind::kMutex, QueueKind::kLockfree}) {
-    nn::Model model = TestModel();
-    EngineConfig config;
-    config.scrubber_enabled = false;
-    config.queue_kind = kind;
-    config.max_batch = 4;
-    config.worker_threads = 2;
-    InferenceEngine engine(model, config);
-    engine.Start();
-    // Burst-submit so the micro-batcher actually forms batches — the
-    // batched serve path must be bit-stable across queue kinds too.
-    std::vector<std::future<Tensor>> futures;
-    for (const auto& probe : probes) {
-      futures.push_back(engine.Submit(Tensor(probe)));
-    }
-    std::vector<Tensor> got;
-    for (auto& f : futures) got.push_back(f.get());
-    engine.Stop();
-    outputs.push_back(std::move(got));
-  }
-
-  nn::Model reference = TestModel();
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const Tensor expected = reference.Predict(probes[i]);
-    EXPECT_EQ(MaxAbsDiff(outputs[0][i], expected), 0.0f)
-        << "mutex-queue serving diverged from direct forward, probe " << i;
-    EXPECT_EQ(MaxAbsDiff(outputs[1][i], outputs[0][i]), 0.0f)
-        << "lockfree-queue serving diverged from the mutex oracle, probe "
-        << i;
+    const WorkloadResult oracle =
+        RunWorkload<MutexQueue<std::uint64_t>>("oracle", seed);
+    const WorkloadResult ring =
+        RunWorkload<BoundedQueue<std::uint64_t>>("ring", seed);
+    // Conservation: every admitted item is consumed exactly once, and
+    // admitted + shed accounts for every push attempt that returned.
+    EXPECT_EQ(oracle.consumed, oracle.admitted) << "oracle seed " << seed;
+    EXPECT_EQ(ring.consumed, ring.admitted) << "ring seed " << seed;
+    EXPECT_GT(oracle.admitted, 0u) << "oracle seed " << seed;
+    EXPECT_GT(ring.admitted, 0u) << "ring seed " << seed;
   }
 }
 

@@ -13,8 +13,9 @@
 //   * depth bounds       the admission counter never over/undershoots,
 //                        racing or quiesced (satellite audit).
 //
-// Each harness runs both queue kinds — the mutex oracle passing trivially
-// is the point: any behavioral split between kinds is a bug by
+// Each harness is typed over the ring and the mutex oracle
+// (tests/mutex_queue_oracle.h) — the oracle passing trivially is the
+// point: any behavioral split between the two is a bug in the ring by
 // definition. Wall-time and thread count scale from the environment so CI
 // can run these as a dedicated multi-second TSan stress step while local
 // ctest stays fast:
@@ -27,10 +28,12 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mutex_queue_oracle.h"
 #include "runtime/request_queue.h"
 
 namespace milr::runtime {
@@ -52,19 +55,24 @@ std::chrono::milliseconds Budget() {
 
 int Threads() { return EnvInt("MILR_LITMUS_THREADS", 4); }
 
-class QueueLitmusTest : public ::testing::TestWithParam<QueueKind> {
- protected:
-  QueueKind kind() const { return GetParam(); }
+template <typename Queue>
+class QueueLitmusTest : public ::testing::Test {};
+
+using QueueTypes = ::testing::Types<BoundedQueue<std::uint64_t>,
+                                    MutexQueue<std::uint64_t>>;
+
+struct QueueTypeNames {
+  template <typename Queue>
+  static std::string GetName(int) {
+    return std::is_same_v<Queue, BoundedQueue<std::uint64_t>>
+               ? "Ring"
+               : "MutexOracle";
+  }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    BothKinds, QueueLitmusTest,
-    ::testing::Values(QueueKind::kMutex, QueueKind::kLockfree),
-    [](const ::testing::TestParamInfo<QueueKind>& info) {
-      return std::string(QueueKindName(info.param));
-    });
+TYPED_TEST_SUITE(QueueLitmusTest, QueueTypes, QueueTypeNames);
 
-TEST_P(QueueLitmusTest, PushVsCloseAdmittedNeverLost) {
+TYPED_TEST(QueueLitmusTest, PushVsCloseAdmittedNeverLost) {
   // Many short rounds, each with Close() landing mid-traffic: whatever a
   // producer was TOLD was admitted must come out of the drain, and
   // whatever was refused must not. The round count (not duration per
@@ -74,7 +82,7 @@ TEST_P(QueueLitmusTest, PushVsCloseAdmittedNeverLost) {
   int rounds = 0;
   do {
     ++rounds;
-    BoundedQueue<std::uint64_t> queue(8, kind());
+    TypeParam queue(8);
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<bool> go{false};
     std::vector<std::thread> pushers;
@@ -116,7 +124,7 @@ TEST_P(QueueLitmusTest, PushVsCloseAdmittedNeverLost) {
   } while (Clock::now() < deadline);
 }
 
-TEST_P(QueueLitmusTest, WraparoundAbaExactlyOnce) {
+TYPED_TEST(QueueLitmusTest, WraparoundAbaExactlyOnce) {
   // Capacity 2: the ring's cursors lap every couple of operations, so a
   // few hundred thousand pushes exercise the sequence-number wraparound
   // arithmetic (the ABA protection) orders of magnitude harder than a
@@ -125,7 +133,7 @@ TEST_P(QueueLitmusTest, WraparoundAbaExactlyOnce) {
   const int producers = std::max(2, Threads() / 2);
   const int consumers = std::max(2, Threads() / 2);
   constexpr std::uint64_t kPerProducer = 20000;
-  BoundedQueue<std::uint64_t> queue(2, kind());
+  TypeParam queue(2);
   const auto deadline = Clock::now() + Budget();
 
   std::vector<std::uint8_t> seen(
@@ -173,13 +181,13 @@ TEST_P(QueueLitmusTest, WraparoundAbaExactlyOnce) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST_P(QueueLitmusTest, BatchPopVsRacingProducersKeepsPerProducerOrder) {
+TYPED_TEST(QueueLitmusTest, BatchPopVsRacingProducersKeepsPerProducerOrder) {
   // One consumer batch-pops while producers race their publishes: the
   // consumer must see each producer's items in push order even when a
   // batch claim lands BETWEEN a producer's admission and its ring
   // publish (the mid-publish spin in TakeAvailable).
   const int producers = Threads();
-  BoundedQueue<std::uint64_t> queue(16, kind());
+  TypeParam queue(16);
   const auto deadline = Clock::now() + Budget();
   constexpr std::uint64_t kSeqStride = 1u << 20;
 
@@ -223,14 +231,14 @@ TEST_P(QueueLitmusTest, BatchPopVsRacingProducersKeepsPerProducerOrder) {
   EXPECT_GT(total, 0u);
 }
 
-TEST_P(QueueLitmusTest, DepthBoundedAndSettles) {
+TYPED_TEST(QueueLitmusTest, DepthBoundedAndSettles) {
   // The satellite audit as a harness: under full producer/consumer chaos
   // the published depth must stay inside [0, capacity] (for the
   // lock-free queue that is the CAS-admission + decrement-before-free
   // pair; size_t wraparound from an underflow would read as a huge
   // value), and after quiescing it must equal the exact item count.
   constexpr std::size_t kCapacity = 16;
-  BoundedQueue<std::uint64_t> queue(kCapacity, kind());
+  TypeParam queue(kCapacity);
   const auto deadline = Clock::now() + Budget();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> pushed{0};
