@@ -5,9 +5,10 @@
 //                   compare; zero checkpoint slack (pure-storage choice).
 //   +checkpoints  : checkpoint-cost slack (dense inputs checkpointed
 //                   instead of O(N³) augmented inverses).
-//   robust preset : + self-contained dense solving, joint conv+bias
-//                   solving, multi-pass recovery, rounding-tolerant
-//                   detection (what the figure benches run).
+//   robust preset : + self-contained dense layers (stored weights,
+//                   checkpointed inputs), joint conv+bias solving,
+//                   multi-pass recovery, rounding-tolerant detection
+//                   (what the figure benches run).
 //
 // The point the paper's own figures imply: once two layers of one
 // checkpoint segment are corrupted — routine at the plotted error rates —

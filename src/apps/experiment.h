@@ -57,7 +57,8 @@ struct TrialResult {
 class ExperimentContext {
  public:
   /// By default experiments run the robust-recovery preset
-  /// (core::ExtendedMilrConfig): self-contained dense solving, joint
+  /// (core::ExtendedMilrConfig): self-contained dense layers (stored
+  /// weights and checkpointed inputs, so recovery is a copy), joint
   /// conv+bias solving and multi-pass recovery. The paper's text-literal
   /// recovery dataflow (propagated real pairs, single pass) cannot
   /// reproduce the paper's own figures — a corrupted neighbor poisons the

@@ -38,33 +38,23 @@ Tensor MakeDenseDummyColumns(std::size_t n, std::size_t alpha,
   return RandomTensor(Shape{n, alpha}, prng);
 }
 
-std::vector<float> DenseDummyColumnSigns(std::size_t n, std::uint64_t seed) {
+Tensor MakeDenseDummyRows(std::size_t rows, std::size_t n,
+                          std::uint64_t seed) {
+  // Orthonormal DCT-II basis rows, sign-flipped per column.
   Prng prng(seed);
   std::vector<float> signs(n);
   for (auto& s : signs) s = prng.NextBool(0.5) ? 1.0f : -1.0f;
-  return signs;
-}
-
-float DenseDummyRowEntry(std::size_t r, std::size_t c, std::size_t n,
-                         float column_sign) {
-  // Orthonormal DCT-II basis row r, sign-flipped per column.
   constexpr double kPi = 3.14159265358979323846;
-  const double scale = r == 0 ? std::sqrt(1.0 / static_cast<double>(n))
-                              : std::sqrt(2.0 / static_cast<double>(n));
-  const double angle = kPi * (2.0 * static_cast<double>(c) + 1.0) *
-                       static_cast<double>(r) /
-                       (2.0 * static_cast<double>(n));
-  return static_cast<float>(scale * std::cos(angle)) * column_sign;
-}
-
-Tensor MakeDenseDummyRows(std::size_t rows, std::size_t n,
-                          std::uint64_t seed) {
-  const std::vector<float> signs = DenseDummyColumnSigns(n, seed);
   Tensor out(Shape{rows, n});
   ParallelFor(0, rows, [&](std::size_t r) {
+    const double scale = r == 0 ? std::sqrt(1.0 / static_cast<double>(n))
+                                : std::sqrt(2.0 / static_cast<double>(n));
     float* row = out.data() + r * n;
     for (std::size_t c = 0; c < n; ++c) {
-      row[c] = DenseDummyRowEntry(r, c, n, signs[c]);
+      const double angle = kPi * (2.0 * static_cast<double>(c) + 1.0) *
+                           static_cast<double>(r) /
+                           (2.0 * static_cast<double>(n));
+      row[c] = static_cast<float>(scale * std::cos(angle)) * signs[c];
     }
   }, /*grain=*/4);
   return out;
@@ -137,32 +127,9 @@ Result<Tensor> DenseSolveParams(const nn::DenseLayer& dense,
     return Status(StatusCode::kInvalidArgument,
                   "DenseSolveParams: dummy outputs shape mismatch");
   }
-  // With dummy_rows ≥ N the system is complete without the propagated pair
-  // (self-contained mode); otherwise the canonical golden row leads.
+  // With dummy_rows ≥ N the system is complete without the propagated pair;
+  // otherwise the canonical golden row leads.
   const bool use_real_pair = dummy_rows < n;
-  if (!use_real_pair && dummy_rows == n) {
-    // Fast exact path: the dummy-row matrix A is orthogonal (DCT basis with
-    // column sign flips), so W = Aᵀ·Y — no factorization needed, and the
-    // conditioning is perfect. Parallel over output rows, double
-    // accumulation.
-    const std::vector<float> signs = DenseDummyColumnSigns(n, row_seed);
-    Tensor w(Shape{n, p});
-    ParallelFor(0, n, [&](std::size_t c) {
-      std::vector<double> acc(p, 0.0);
-      for (std::size_t r = 0; r < n; ++r) {
-        const double a = DenseDummyRowEntry(r, c, n, signs[c]);
-        const float* yrow = dummy_outputs.data() + r * p;
-        for (std::size_t j = 0; j < p; ++j) {
-          acc[j] += a * static_cast<double>(yrow[j]);
-        }
-      }
-      float* wrow = w.data() + c * p;
-      for (std::size_t j = 0; j < p; ++j) {
-        wrow[j] = static_cast<float>(acc[j]);
-      }
-    }, /*grain=*/8);
-    return w;
-  }
   const std::size_t rows = (use_real_pair ? 1 : 0) + dummy_rows;
   if (rows < n) {
     return Status(StatusCode::kUnsolvable,

@@ -37,19 +37,10 @@ Tensor MakeDenseDummyColumns(std::size_t n, std::size_t alpha,
 /// rounding of the stored golden outputs into weight errors large enough to
 /// hurt accuracy (the paper's §V-A "large systems of equations" caveat). We
 /// instead use rows of a DCT-II orthonormal basis with PRNG-seeded column
-/// sign flips — equally regenerable from the seed alone, but perfectly
-/// conditioned (κ = 1 when rows == N), so recovery is exact to float
-/// rounding and solvable by a transpose multiply instead of an LU.
+/// sign flips — equally regenerable from the seed alone, but orthonormal,
+/// so the system they form with the one real row stays well conditioned
+/// and its LU solve is exact to float rounding.
 Tensor MakeDenseDummyRows(std::size_t rows, std::size_t n, std::uint64_t seed);
-
-/// Element (r, c) of the dummy-row matrix above, exactly as stored in the
-/// tensor (float-rounded). Lets the solver stream the matrix without
-/// materializing N² entries.
-float DenseDummyRowEntry(std::size_t r, std::size_t c, std::size_t n,
-                         float column_sign);
-
-/// The PRNG column signs (±1) for the dummy-row matrix.
-std::vector<float> DenseDummyColumnSigns(std::size_t n, std::uint64_t seed);
 
 /// PRNG dummy filters for conv backward: shape (F,F,Z,alpha).
 Tensor MakeConvDummyFilters(const nn::Conv2DLayer& conv, std::size_t alpha,
@@ -67,7 +58,8 @@ Result<Tensor> DenseBackward(const nn::DenseLayer& dense, const Tensor& y,
 
 /// Parameter solving (R): recovers W (N,P) from the canonical golden pair
 /// (x_real, y_real) plus `dummy_rows` PRNG input rows whose golden outputs
-/// were stored at init (Section IV-A b).
+/// were stored at init (Section IV-A b). With dummy_rows ≥ N the real pair
+/// is not used.
 Result<Tensor> DenseSolveParams(const nn::DenseLayer& dense,
                                 const Tensor& x_real, const Tensor& y_real,
                                 std::size_t dummy_rows, std::uint64_t row_seed,

@@ -34,15 +34,19 @@ struct MilrConfig {
   /// N−1 PRNG dummy rows, so its result is poisoned when a *neighboring*
   /// layer in the same checkpoint segment is also erroneous (§V-A's
   /// multi-erroneous-layer limitation).
-  /// Extension (true): use N dummy rows and no propagated pair — the dense
-  /// system becomes fully self-contained at the cost of one extra stored
-  /// output row, making dense recovery independent of neighbors.
+  /// Extension (true): store a copy of each dense layer's W — the N·P
+  /// floats the paper's N−1 stored output rows nearly take anyway — and
+  /// checkpoint every dense layer's input (N floats; the network's first
+  /// layer reads the seed-regenerated canonical input instead). Recovery
+  /// is a bit-exact copy with no solve, and since every dense layer is a
+  /// segment boundary, no other layer's repair solves backward through
+  /// dense weights.
   bool self_contained_dense = false;
 
   /// Number of detect→recover iterations DetectAndRecover may run. The
-  /// paper does one. With self_contained_dense, a second pass lets bias /
-  /// conv layers re-solve against already-healed dense neighbors, healing
-  /// many multi-erroneous-layer segments the single pass cannot.
+  /// paper does one. Further passes let bias / conv layers re-solve against
+  /// neighbors healed in the previous pass, healing many
+  /// multi-erroneous-layer segments the single pass cannot.
   std::size_t max_recovery_passes = 1;
 
   /// Extension (false = paper): when a fully-solvable conv layer and its

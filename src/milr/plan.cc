@@ -32,17 +32,31 @@ const char* BackwardModeName(BackwardMode mode) {
 
 namespace {
 
-LayerPlan PlanDense(const nn::DenseLayer& dense, const MilrConfig& config) {
+LayerPlan PlanDense(const nn::DenseLayer& dense, bool canonical_input,
+                    const MilrConfig& config) {
   LayerPlan plan;
   const std::size_t n = dense.in_features();
   const std::size_t p = dense.out_features();
   plan.solve = SolveMode::kDense;
+  if (config.self_contained_dense) {
+    // Extension (see MilrConfig::self_contained_dense): a copy of W, N·P
+    // floats, one row more than paper mode's N−1 dummy-row outputs; recovery
+    // is a bit-exact copy. Checkpointing the input (N floats) makes the
+    // layer a segment boundary, so no repair solves backward through its
+    // weights. The network's first layer reads the seed-regenerated
+    // canonical input and needs no checkpoint.
+    plan.planned_bytes += n * p * sizeof(float);
+    plan.backward = BackwardMode::kBlocked;
+    if (!canonical_input) {
+      plan.input_checkpoint = true;
+      plan.planned_bytes += n * sizeof(float);
+    }
+    return plan;
+  }
   // Parameter solving needs M ≥ N equations; the canonical recovery pass
   // contributes one real row, the rest are PRNG dummy rows whose golden
-  // outputs must be stored (Section IV-A b). In self-contained mode all N
-  // rows are dummy rows (extension; see MilrConfig::self_contained_dense).
-  plan.solve_dummy_rows =
-      config.self_contained_dense ? n : (n > 0 ? n - 1 : 0);
+  // outputs must be stored (Section IV-A b).
+  plan.solve_dummy_rows = n > 0 ? n - 1 : 0;
   plan.planned_bytes += plan.solve_dummy_rows * p * sizeof(float);
 
   if (p >= n) {
@@ -152,7 +166,8 @@ ProtectionPlan BuildPlan(const nn::Model& model, const MilrConfig& config) {
         lp.backward = BackwardMode::kBiasSubtract;
         break;
       case nn::LayerKind::kDense:
-        lp = PlanDense(static_cast<const nn::DenseLayer&>(layer), config);
+        lp = PlanDense(static_cast<const nn::DenseLayer&>(layer), i == 0,
+                       config);
         break;
       case nn::LayerKind::kConv2D: {
         const auto& conv = static_cast<const nn::Conv2DLayer&>(layer);

@@ -20,7 +20,8 @@ namespace milr::core {
 /// How parameters of a layer are recovered.
 enum class SolveMode {
   kNone,         // no parameters (relu / pool / flatten)
-  kDense,        // square PRNG system, LU (Section IV-A)
+  kDense,        // paper: golden pair + N−1 PRNG rows, LU (Section IV-A);
+                 // self-contained: copy of the stored weights
   kConvFull,     // G² ≥ F²Z: full filter re-solve (Section IV-B)
   kConvPartial,  // G² < F²Z: 2-D CRC localization + reduced system
   kBias,         // subtract input from output (Section IV-E)
@@ -54,8 +55,9 @@ struct LayerPlan {
   /// conv → α extra filters (F²Z−Y). Zero when not augmented.
   std::size_t dummy_count = 0;
 
-  /// Dense solving: PRNG input rows added so M ≥ N (N−1 for the single
-  /// canonical recovery row).
+  /// Dense solving in paper mode: PRNG input rows added to the single
+  /// canonical recovery row so M ≥ N (N−1). Zero in self-contained mode,
+  /// which stores the weights instead.
   std::size_t solve_dummy_rows = 0;
 
   /// Conv geometry captured at planning time.

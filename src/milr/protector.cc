@@ -93,7 +93,9 @@ void MilrProtector::Initialize() {
         break;
       case SolveMode::kDense: {
         const auto& dense = static_cast<const nn::DenseLayer&>(layer);
-        if (lp.solve_dummy_rows > 0) {
+        if (config_.self_contained_dense) {
+          gold.stored_weights = dense.weights();
+        } else if (lp.solve_dummy_rows > 0) {
           const Tensor rows = MakeDenseDummyRows(
               lp.solve_dummy_rows, dense.in_features(), gold.solve_seed);
           gold.dense_solve_outputs = dense.Forward(rows);
@@ -313,6 +315,14 @@ LayerRecovery MilrProtector::RecoverLayer(std::size_t layer_index) {
   recovery.mode = lp.solve;
   nn::Layer& layer = model_->layer(layer_index);
 
+  if (lp.solve == SolveMode::kDense && config_.self_contained_dense) {
+    // Self-contained mode: the stored copy is the golden W, bit for bit.
+    recovery.weights_changed =
+        CopyCountingChanges(gold.stored_weights.flat(), layer.Params());
+    recovery.weights_written = gold.stored_weights.size();
+    return recovery;
+  }
+
   const Tensor x = GoldenInputOf(layer_index);
   auto y = GoldenOutputOf(layer_index);
   if (!y.ok()) {
@@ -490,7 +500,8 @@ StorageBreakdown MilrProtector::Storage() const {
   for (std::size_t i = 0; i < golden_.size(); ++i) {
     const LayerGolden& gold = golden_[i];
     storage.signature_bytes += gold.signature.size() * sizeof(float);
-    storage.dense_solve_bytes += gold.dense_solve_outputs.SizeBytes();
+    storage.dense_solve_bytes +=
+        gold.dense_solve_outputs.SizeBytes() + gold.stored_weights.SizeBytes();
     storage.dummy_output_bytes += gold.backward_dummy_outputs.SizeBytes();
     storage.crc_bytes += gold.crc.SizeBytes();
   }

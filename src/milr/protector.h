@@ -3,8 +3,8 @@
 //  * Initialization — one linearized forward pass on the canonical seeded
 //    PRNG input records full checkpoints (where the plan demands), partial
 //    checkpoints (detection signatures), dummy-stream golden outputs, 2-D
-//    CRC tables and the final output. Runs once, when the network is
-//    deployed.
+//    CRC tables and the final output; in self-contained mode, a copy of
+//    each dense layer's weights. Runs once, when the network is deployed.
 //  * Error detection — regenerates each layer's private PRNG input, applies
 //    the layer's parameters to it and compares the partial checkpoint.
 //    Mismatching layers are flagged. Each parameter is read once: a dense
@@ -22,7 +22,10 @@
 // Guarantee boundary (same as the paper's): any number of weight errors in a
 // single layer between two checkpoints is recoverable; two or more erroneous
 // layers in one segment degrade recovery because the propagated golden pair
-// itself passes through corrupted parameters.
+// itself passes through corrupted parameters. In the preset
+// (MilrConfig::self_contained_dense) every dense layer is a segment
+// boundary and is restored from its stored weights without a solve, so a
+// corrupted dense layer never poisons a neighbor's recovery.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +71,9 @@ struct StorageBreakdown {
   std::size_t checkpoint_bytes = 0;    // full input checkpoints
   std::size_t final_output_bytes = 0;  // golden network output Y
   std::size_t signature_bytes = 0;     // partial checkpoints + bias sums
-  std::size_t dense_solve_bytes = 0;   // golden outputs of dummy input rows
+  std::size_t dense_solve_bytes = 0;   // dense recovery data: golden outputs
+                                       // of N−1 dummy input rows (paper) or
+                                       // the stored weights (self-contained)
   std::size_t dummy_output_bytes = 0;  // golden outputs of dummy cols/filters
   std::size_t crc_bytes = 0;           // 2-D CRC tables
   std::size_t seed_bytes = 0;          // PRNG seeds
@@ -109,7 +114,8 @@ class MilrProtector {
   struct LayerGolden {
     std::vector<float> signature;       // detection partial checkpoint
     double bias_sum = 0.0;              // bias layers only
-    Tensor dense_solve_outputs;         // (solve_dummy_rows, P)
+    Tensor dense_solve_outputs;         // paper mode: (solve_dummy_rows, P)
+    Tensor stored_weights;              // self-contained dense: W (N, P)
     Tensor backward_dummy_outputs;      // dense: (α), conv: (G²,α)
     ecc::Crc2dCodes crc;                // conv-partial layers only
     std::uint64_t detect_seed = 0;

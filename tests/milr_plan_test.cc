@@ -158,6 +158,37 @@ TEST(PlanTest, CifarLargeAllConvsPartial) {
   EXPECT_EQ(full, 1);  // the first conv (32×32 out, F²Z=75 < 1024) is full
 }
 
+TEST(PlanTest, PresetCheckpointsDenseInputsInsteadOfInvertingDense) {
+  // The serving MLP: Dense 256→320→320→320→256→10, each with a bias, ReLU
+  // between. Dense layers sit at 0, 3, 6, 9 and 12.
+  nn::Model model(Shape{256});
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(256).AddBias().AddReLU();
+  model.AddDense(10).AddBias();
+
+  const auto preset = BuildPlan(model, ExtendedMilrConfig());
+  for (std::size_t i = 0; i < model.LayerCount(); ++i) {
+    EXPECT_NE(preset.layers[i].backward, BackwardMode::kDenseExact) << i;
+    EXPECT_NE(preset.layers[i].backward, BackwardMode::kDenseAugmented) << i;
+  }
+  EXPECT_EQ(preset.checkpoint_indices,
+            (std::vector<std::size_t>{3, 6, 9, 12}));
+  // The stored weights plus, past the first layer, the input checkpoint.
+  EXPECT_EQ(preset.layers[0].planned_bytes, 256u * 320u * 4u);
+  EXPECT_EQ(preset.layers[3].planned_bytes, (320u * 320u + 320u) * 4u);
+  EXPECT_EQ(preset.layers[3].solve_dummy_rows, 0u);
+
+  // Paper mode keeps its plan.
+  const auto paper = BuildPlan(model, {});
+  for (const std::size_t i : {0u, 3u, 6u}) {
+    EXPECT_EQ(paper.layers[i].backward, BackwardMode::kDenseExact) << i;
+  }
+  EXPECT_EQ(paper.layers[9].backward, BackwardMode::kDenseAugmented);
+  EXPECT_EQ(paper.checkpoint_indices, std::vector<std::size_t>{12});
+}
+
 TEST(PlanTest, PlanToStringMentionsEveryLayer) {
   const nn::Model model = apps::BuildMnistNetwork();
   const auto plan = BuildPlan(model, {});

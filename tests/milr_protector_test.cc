@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "memory/fault_injector.h"
 #include "milr/protector.h"
 #include "nn/init.h"
@@ -22,6 +24,21 @@ nn::Model TestModel() {
   nn::InitHeUniform(model, 42);
   return model;
 }
+
+/// The serving MLP: Dense 256→320→320→320→256→10, each with a bias, ReLU
+/// between, He init. Dense layers sit at 0, 3, 6, 9 and 12.
+nn::Model ServingMlp() {
+  nn::Model model(Shape{256});
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(320).AddBias().AddReLU();
+  model.AddDense(256).AddBias().AddReLU();
+  model.AddDense(10).AddBias();
+  nn::InitHeUniform(model, 3);
+  return model;
+}
+
+constexpr std::size_t kMlpDenseLayers[] = {0, 3, 6, 9, 12};
 
 TEST(ProtectorTest, CleanModelDetectsNothing) {
   nn::Model model = TestModel();
@@ -117,6 +134,61 @@ TEST(ProtectorTest, RecoversDenseLayer) {
   for (std::size_t p = 0; p < params.size(); ++p) {
     EXPECT_NEAR(params[p], golden[8][p], 1e-3f);
   }
+}
+
+TEST(ProtectorTest, PresetRestoresEveryDenseLayerBitExactInOnePass) {
+  nn::Model model = ServingMlp();
+  const auto golden = model.SnapshotParams();
+  MilrProtector protector(model, ExtendedMilrConfig());
+  for (const std::size_t layer : kMlpDenseLayers) {
+    SCOPED_TRACE("dense layer " + std::to_string(layer));
+    Prng prng(100 + layer);
+    memory::CorruptWholeLayer(model, layer, prng);
+    const auto recovery = protector.DetectAndRecover();
+    ASSERT_EQ(recovery.layers.size(), 1u);
+    EXPECT_TRUE(recovery.all_ok());
+    EXPECT_EQ(recovery.passes, 1u);
+    const auto params = model.layer(layer).Params();
+    EXPECT_EQ(std::memcmp(params.data(), golden[layer].data(),
+                          params.size_bytes()),
+              0);
+    model.RestoreParams(golden);
+  }
+}
+
+TEST(ProtectorTest, PresetHealsDenseAndEarlierBiasTogetherInOnePass) {
+  // bias_1's golden output is dense_3's checkpointed input, so a corrupted
+  // dense_3 cannot poison it.
+  nn::Model model = ServingMlp();
+  const auto golden = model.SnapshotParams();
+  MilrProtector protector(model, ExtendedMilrConfig());
+  Prng prng(7);
+  memory::CorruptWholeLayer(model, 3, prng);
+  memory::CorruptWholeLayer(model, 1, prng);
+  const auto recovery = protector.DetectAndRecover();
+  EXPECT_TRUE(recovery.all_ok());
+  EXPECT_EQ(recovery.passes, 1u);
+  for (const std::size_t layer : {std::size_t{1}, std::size_t{3}}) {
+    const auto params = model.layer(layer).Params();
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      EXPECT_NEAR(params[p], golden[layer][p], 1e-5f) << layer << ":" << p;
+    }
+  }
+}
+
+TEST(ProtectorTest, PresetStoresDenseWeightsAndCheckpointsDenseInputs) {
+  nn::Model model = ServingMlp();
+  MilrProtector protector(model, ExtendedMilrConfig());
+  const auto storage = protector.Storage();
+  std::size_t dense_bytes = 0;
+  for (const std::size_t layer : kMlpDenseLayers) {
+    dense_bytes += model.layer(layer).ParamCount() * sizeof(float);
+  }
+  EXPECT_EQ(storage.dense_solve_bytes, dense_bytes);
+  // Inputs of dense_3, dense_6, dense_9 and dense_12; dense_0 reads the
+  // canonical input.
+  EXPECT_EQ(storage.checkpoint_bytes, (320u + 320u + 320u + 256u) * 4u);
+  EXPECT_EQ(storage.dummy_output_bytes, 0u);
 }
 
 TEST(ProtectorTest, RecoversBiasLayer) {
