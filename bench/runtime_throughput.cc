@@ -53,7 +53,6 @@
 #include "memory/fault_injector.h"
 #include "nn/init.h"
 #include "nn/kernel_config.h"
-#include "nn/kernel_registry.h"
 #include "nn/model.h"
 #include "nn/train.h"
 #include "obs/trace.h"
@@ -279,99 +278,21 @@ std::vector<ModelSweepRow> RunModelSweep(
   return rows;
 }
 
-// ------------------------------------------------- registry vs fixed plans
+// ------------------------------------------------------- registry plans
 //
-// The kernel registry's acceptance number: per-call time of the fast and
-// int8 tiers served from autotuned registry plans versus the legacy
-// fixed-constant dispatch (Pin::kFixed reproduces the pre-registry kernel
-// selection and blocking exactly). The registry must never lose to the
-// constants it replaced — the comparator holds each ratio at >= 1.0 within
-// run-to-run noise. Autotune cost (plans tuned, total wall ms) and the
-// per-layer plan descriptions are reported alongside, so the one-time
-// configuration cost and the winners themselves are visible in CI logs.
+// The per-layer kernel plans the fast tier serves on this machine, so the
+// kernels behind every number below are visible in CI logs and the JSON.
 
-struct RegistryResult {
-  double fast_fixed_ms = 0.0;
-  double fast_registry_ms = 0.0;
-  double int8_fixed_ms = 0.0;
-  double int8_registry_ms = 0.0;
-  std::size_t plans = 0;
-  std::size_t tuned = 0;
-  double total_tune_ms = 0.0;
-  std::vector<std::string> kernels;  // per-layer plan descriptions
-};
-
-RegistryResult RunRegistryVsFixed(milr::nn::Model& model, std::size_t batch,
-                                  double seconds) {
+std::vector<std::string> FastPlanDescriptions(milr::nn::Model& model) {
   using namespace milr;
-  auto& registry = nn::KernelRegistry::Get();
-  const auto saved_pin = registry.pin();
-  Prng prng(29);
-  Tensor probe = RandomTensor(WithBatchAxis(batch, model.input_shape()),
-                              prng);
-  const auto time_tier = [&](nn::KernelConfig tier) {
-    model.set_kernel_config(tier);  // (re)fetches plans, warms caches
-    model.PredictBatch(probe);
-    // Best of two timing windows: the A/B ratio against fixed dispatch is
-    // held to a tight floor by the comparator, so each side gets the
-    // minimum over two loops to shed one-off scheduling interference.
-    double best = 1e30;
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::duration<double>(seconds);
-      std::size_t calls = 0;
-      const auto start = std::chrono::steady_clock::now();
-      while (std::chrono::steady_clock::now() < deadline) {
-        model.PredictBatch(probe);
-        ++calls;
-      }
-      best = std::min(
-          best, std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                        .count() /
-                    static_cast<double>(calls) * 1e3);
-    }
-    return best;
-  };
-
-  RegistryResult result;
-  registry.set_pin(nn::KernelRegistry::Pin::kFixed);
-  registry.Reset();
-  result.fast_fixed_ms = time_tier(nn::KernelConfig::kFast);
-  result.int8_fixed_ms = time_tier(nn::KernelConfig::kInt8);
-
-  registry.set_pin(nn::KernelRegistry::Pin::kNone);
-  registry.Reset();
-  result.fast_registry_ms = time_tier(nn::KernelConfig::kFast);
-  result.kernels = model.KernelDescriptions();
-  result.int8_registry_ms = time_tier(nn::KernelConfig::kInt8);
-
-  const auto stats = registry.stats();
-  result.plans = stats.plans;
-  result.tuned = stats.tuned;
-  result.total_tune_ms = stats.total_tune_ms;
-
-  registry.set_pin(saved_pin);
+  model.set_kernel_config(nn::KernelConfig::kFast);
+  std::vector<std::string> kernels = model.KernelDescriptions();
   model.set_kernel_config(nn::KernelConfig::kExact);
-  std::printf("registry vs fixed dispatch (single thread, batch=%zu):\n"
-              "  fast  fixed %8.3f ms  registry %8.3f ms  "
-              "registry/fixed=%.2fx\n"
-              "  int8  fixed %8.3f ms  registry %8.3f ms  "
-              "registry/fixed=%.2fx\n"
-              "  autotune: %zu plans (%zu tuned) in %.1f ms total\n",
-              batch, result.fast_fixed_ms, result.fast_registry_ms,
-              result.fast_registry_ms > 0.0
-                  ? result.fast_fixed_ms / result.fast_registry_ms
-                  : 0.0,
-              result.int8_fixed_ms, result.int8_registry_ms,
-              result.int8_registry_ms > 0.0
-                  ? result.int8_fixed_ms / result.int8_registry_ms
-                  : 0.0,
-              result.plans, result.tuned, result.total_tune_ms);
-  for (const std::string& line : result.kernels) {
+  std::printf("registry plans (fast tier):\n");
+  for (const std::string& line : kernels) {
     std::printf("  plan: %s\n", line.c_str());
   }
-  return result;
+  return kernels;
 }
 
 // ----------------------------------------------------- trained agreement
@@ -1119,7 +1040,7 @@ void WriteBenchJson(const char* path, const char* net, bool smoke,
                     std::size_t clients, std::size_t workers,
                     double seconds, double weight_mb,
                     const std::vector<ModelSweepRow>& sweep,
-                    const RegistryResult& registry,
+                    const std::vector<std::string>& kernels,
                     const AgreementResult& agreement,
                     const TrainedAgreementResult& trained,
                     const std::vector<PhaseRow>& phases,
@@ -1157,26 +1078,9 @@ void WriteBenchJson(const char* path, const char* net, bool smoke,
         row.per_call[2] > 0.0 ? row.per_call[1] / row.per_call[2] : 0.0);
   }
   std::fprintf(f, "\n  ],\n");
-  std::fprintf(
-      f,
-      "  \"registry\": {\"fast_fixed_ms\": %.6f, "
-      "\"fast_registry_ms\": %.6f, \"fast_registry_over_fixed\": %.4f, "
-      "\"int8_fixed_ms\": %.6f, \"int8_registry_ms\": %.6f, "
-      "\"int8_registry_over_fixed\": %.4f, \"autotune_plans\": %zu, "
-      "\"autotune_tuned\": %zu, \"autotune_total_ms\": %.3f, "
-      "\"kernels\": [",
-      registry.fast_fixed_ms, registry.fast_registry_ms,
-      registry.fast_registry_ms > 0.0
-          ? registry.fast_fixed_ms / registry.fast_registry_ms
-          : 0.0,
-      registry.int8_fixed_ms, registry.int8_registry_ms,
-      registry.int8_registry_ms > 0.0
-          ? registry.int8_fixed_ms / registry.int8_registry_ms
-          : 0.0,
-      registry.plans, registry.tuned, registry.total_tune_ms);
-  for (std::size_t i = 0; i < registry.kernels.size(); ++i) {
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 registry.kernels[i].c_str());
+  std::fprintf(f, "  \"registry\": {\"kernels\": [");
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kernels[i].c_str());
   }
   std::fprintf(f, "]},\n");
   std::fprintf(f,
@@ -1314,8 +1218,7 @@ int main(int argc, char** argv) {
 
   const std::vector<ModelSweepRow> sweep =
       RunModelSweep(model, batches, smoke ? 0.1 : 0.5);
-  const RegistryResult registry =
-      RunRegistryVsFixed(model, /*batch=*/8, smoke ? 0.1 : 0.5);
+  const std::vector<std::string> kernels = FastPlanDescriptions(model);
   const AgreementResult agreement =
       MeasureAgreement(model, smoke ? 64 : 256);
   const TrainedAgreementResult trained = RunTrainedAgreement(smoke);
@@ -1387,7 +1290,7 @@ int main(int argc, char** argv) {
     WriteBenchJson("BENCH_runtime.json", net, smoke, clients, workers,
                    seconds,
                    static_cast<double>(model.TotalParamBytes()) / 1e6,
-                   sweep, registry, agreement, trained, phase_rows, cohost,
+                   sweep, kernels, agreement, trained, phase_rows, cohost,
                    queue_bench, tracing, slo);
   }
   return 0;

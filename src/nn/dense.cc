@@ -41,16 +41,9 @@ Tensor DenseLayer::Forward(const Tensor& input) const {
 void DenseLayer::set_kernel_config(KernelConfig config) {
   Layer::set_kernel_config(config);
   if (config != KernelConfig::kExact) {
-    // Fetch (tuning on first request) the registry's plan for this weight
-    // shape. Re-fetching on every set_kernel_config keeps the layer in
-    // sync after a registry Reset() or pin change; when the new plan
-    // blocks B differently, the cached panels are stale and must repack.
-    const GemmPlan plan =
-        KernelRegistry::Get().PlanFor(in_features_, out_features_);
-    if (!has_plan_ || plan_.kc != plan.kc) {
-      packed_valid_.store(false, std::memory_order_release);
-    }
-    plan_ = plan;
+    // The plan is a fixed function of the machine and this weight shape,
+    // so its kc never changes under already-packed panels.
+    plan_ = KernelRegistry::Get().PlanFor(in_features_, out_features_);
     has_plan_ = true;
   }
   // Warm the tier's weight cache on entry instead of on the first serve,
@@ -67,16 +60,15 @@ void DenseLayer::set_kernel_config(KernelConfig config) {
 
 const float* DenseLayer::PackedWeightsOrNull() const {
   if (!PackedBSupported()) return nullptr;
-  // Pack with the plan's kc so the panels match what RunFastGemm sweeps;
-  // set_kernel_config invalidates this cache whenever the plan's kc moves.
-  const std::size_t kc = has_plan_ ? plan_.kc : gemm_detail::kKc;
+  // Pack with the plan's kc so the panels match what RunFastGemm sweeps
+  // (a layer without a plan serves the fixed dispatch, whose kc is the
+  // GemmPlan default).
   if (!packed_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(pack_mutex_);
     if (!packed_valid_.load(std::memory_order_relaxed)) {
-      packed_b_.resize(PackedBSize(in_features_, out_features_, kc));
+      packed_b_.resize(PackedBSize(in_features_, out_features_, plan_.kc));
       PackBPanels(weights_.data(), in_features_, out_features_,
-                  packed_b_.data(), kc);
-      packed_kc_ = kc;
+                  packed_b_.data(), plan_.kc);
       packed_valid_.store(true, std::memory_order_release);
     }
   }

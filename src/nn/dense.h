@@ -63,9 +63,8 @@ class DenseLayer final : public Layer {
   /// follow-on from PR 3) and quantizes them once when entering the int8
   /// tier, so serving never pays a per-request repack/requantization.
   /// Non-exact tiers additionally fetch this shape's GemmPlan from the
-  /// KernelRegistry (tuning it on the first request) and persist it by
-  /// value; a plan whose kc differs from the cached panels' forces a
-  /// repack so pack and serve always agree on the blocking.
+  /// KernelRegistry and persist it by value; the panels are packed with
+  /// the plan's kc, so pack and serve agree on the blocking.
   void set_kernel_config(KernelConfig config) override;
 
   /// Tier name plus the registry plan when one is attached.
@@ -150,8 +149,7 @@ class DenseLayer final : public Layer {
   mutable std::atomic<float> act_maxabs_{0.0f};  // running finite max-abs
 
   mutable std::mutex pack_mutex_;
-  mutable std::vector<float> packed_b_;  // PackBPanels layout
-  mutable std::size_t packed_kc_ = 0;    // kc packed_b_ was packed with
+  mutable std::vector<float> packed_b_;  // PackBPanels layout, plan_.kc
   mutable std::atomic<bool> packed_valid_{false};
   mutable quant::Int8ServingWeights int8_weights_;  // derived int8 replica
   mutable std::atomic<bool> int8_valid_{false};

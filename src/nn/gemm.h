@@ -573,10 +573,10 @@ __attribute__((target("avx512f"))) inline Vec16 Bcast16(float v) {
   return r;
 }
 
-/// One-time CPUID probe for the zmm fp32 kernels below. Like the AVX2
-/// probe, the baseline binary stays portable: the avx512f clones are only
+/// One-time CPUID probe for the zmm fp32 kernel below. Like the AVX2
+/// probe, the baseline binary stays portable: the avx512f clone is only
 /// ever entered behind this check (and, in production, only after the
-/// kernel registry has oracle-validated them on this machine).
+/// kernel registry has oracle-validated it on this machine).
 inline bool HasAvx512f() {
   static const bool ok = __builtin_cpu_supports("avx512f");
   return ok;
@@ -584,10 +584,10 @@ inline bool HasAvx512f() {
 
 /// AVX-512 flavor of the packed micro-kernel: kNr (=16) is exactly one zmm
 /// lane set, so the packed-panel layout is shared verbatim with the AVX2
-/// and generic micro-kernels — the registry can swap micro-kernels without
-/// repacking. One accumulator per tile row leaves registers to unroll the
-/// k sweep by two with a second accumulator set (summation order differs
-/// from the other micro-kernels; fast tier is tolerance-level anyway).
+/// and generic micro-kernels. One accumulator per tile row leaves
+/// registers to unroll the k sweep by two with a second accumulator set
+/// (summation order differs from the other micro-kernels; fast tier is
+/// tolerance-level anyway).
 __attribute__((target("avx512f"))) inline void MicroKernelAvx512(
     const float* __restrict apack, const float* __restrict bpack,
     std::size_t kc, float* __restrict cacc) {
@@ -614,55 +614,6 @@ __attribute__((target("avx512f"))) inline void MicroKernelAvx512(
   }
   for (std::size_t r = 0; r < kMr; ++r) {
     Store16(cacc + r * kNr, acc[r] + acc2[r]);
-  }
-}
-
-/// AVX-512 direct-B kernel: DirectTileKernelAvx2's role with zmm vectors.
-/// The register budget (32 zmm) affords an 8-row × 16-column tile, so each
-/// B row load is reused across eight A rows instead of four. Leftover rows
-/// use a k-unrolled single-row kernel, leftover columns a scalar dot.
-__attribute__((target("avx512f"))) inline void DirectTileKernelAvx512(
-    const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-    std::size_t n) {
-  constexpr std::size_t kRows = 8;
-  std::size_t jc = 0;
-  for (; jc + kNr <= n; jc += kNr) {
-    std::size_t i = 0;
-    for (; i + kRows <= m; i += kRows) {
-      Vec16 acc[kRows];
-      for (std::size_t r = 0; r < kRows; ++r) {
-        acc[r] = Load16(c + (i + r) * n + jc);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const Vec16 brow = Load16(b + p * n + jc);
-        for (std::size_t r = 0; r < kRows; ++r) {
-          acc[r] += Bcast16(a[(i + r) * k + p]) * brow;
-        }
-      }
-      for (std::size_t r = 0; r < kRows; ++r) {
-        Store16(c + (i + r) * n + jc, acc[r]);
-      }
-    }
-    for (; i < m; ++i) {  // leftover rows: unroll k by two for ILP
-      Vec16 acc0 = Load16(c + i * n + jc);
-      Vec16 acc1 = Bcast16(0.0f);
-      const float* arow = a + i * k;
-      std::size_t p = 0;
-      for (; p + 2 <= k; p += 2) {
-        acc0 += Bcast16(arow[p]) * Load16(b + p * n + jc);
-        acc1 += Bcast16(arow[p + 1]) * Load16(b + (p + 1) * n + jc);
-      }
-      if (p < k) acc0 += Bcast16(arow[p]) * Load16(b + p * n + jc);
-      Store16(c + i * n + jc, acc0 + acc1);
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {  // leftover columns: scalar dots
-    const float* arow = a + i * k;
-    for (std::size_t j = jc; j < n; ++j) {
-      float acc = c[i * n + j];
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * b[p * n + j];
-      c[i * n + j] = acc;
-    }
   }
 }
 
@@ -772,7 +723,7 @@ inline void PackedSweepKBlock(const float* a, const float* bpanels, float* c,
 /// Packed-panel k-blocked driver shared by the generic and AVX2/AVX-512
 /// builds. MicroFn is invoked once per (kMr,kNr) C tile per k block,
 /// against the thread-local packed panels. `kc_blk` is the k-block depth
-/// (the registry tunes it; kKc is the fixed-constant default).
+/// (the registry's plan sets it; kKc is the fixed-constant default).
 template <typename MicroFn>
 inline void PackedGemm(const float* a, const float* b, float* c,
                        std::size_t m, std::size_t k, std::size_t n,
@@ -1016,13 +967,12 @@ inline void GemmAccumulate(KernelConfig config, const float* a,
 //
 // Training's dW/dX products historically ran only the exact tiled kernels.
 // These are their fast-tier counterparts (tolerance contract, like
-// GemmAccumulateFast); the kernel registry decides per shape whether they
-// beat the exact kernels. Per-sample MILR paths never call them.
+// GemmAccumulateFast); the kernel registry's plan selects them wherever
+// they validate. Per-sample MILR paths never call them.
 
 /// Fast C(m,n) += Aᵀ(m,k)·B(k,n), A stored (k,m) row-major (training dW).
 /// Transposes A into thread-local scratch — an O(k·m) copy against the
-/// O(m·k·n) multiply — then reuses the whole forward fast-tier dispatch,
-/// including its AVX-512 kernels where present.
+/// O(m·k·n) multiply — then reuses the whole forward fast-tier dispatch.
 inline void GemmTransposedAAccumulateFast(const float* a, const float* b,
                                           float* c, std::size_t m,
                                           std::size_t k, std::size_t n) {

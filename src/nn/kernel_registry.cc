@@ -1,8 +1,6 @@
 #include "nn/kernel_registry.h"
 
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -11,15 +9,8 @@
 namespace milr::nn {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-      .count();
-}
-
-/// Deterministic operand fill for validation and tuning (no global RNG:
-/// two processes on the same machine see the same candidate inputs).
+/// Deterministic operand fill for validation (no global RNG: two processes
+/// on the same machine validate against the same inputs).
 struct Lcg {
   std::uint64_t state;
   explicit Lcg(std::uint64_t seed) : state(seed * 2862933555777941757ull + 1) {}
@@ -34,12 +25,9 @@ void Fill(std::vector<float>& v, std::uint64_t seed) {
   for (float& x : v) x = lcg.Next();
 }
 
-constexpr std::size_t kNumFastKernels = 7;
+constexpr std::size_t kNumFastKernels = 6;
 
 std::size_t FastIdx(FastKernel kern) {
-  return static_cast<std::size_t>(kern);
-}
-std::size_t Int8Idx(quant::Int8Kernel kern) {
   return static_cast<std::size_t>(kern);
 }
 
@@ -68,7 +56,6 @@ bool IsaSupported(FastKernel kern) {
 #else
       return false;
 #endif
-    case FastKernel::kAvx512Direct:
     case FastKernel::kAvx512Packed:
 #ifdef MILR_GEMM_HAVE_AVX512
       return gemm_detail::HasAvx512f();
@@ -121,9 +108,6 @@ void ExecFast(FastKernel kern, std::size_t kc, const float* a,
     }
 #endif
 #ifdef MILR_GEMM_HAVE_AVX512
-    case FastKernel::kAvx512Direct:
-      gemm_detail::DirectTileKernelAvx512(a, b, c, m, k, n);
-      return;
     case FastKernel::kAvx512Packed: {
       auto micro = [](const float* ap, const float* bp, std::size_t kcb,
                       float* cacc) {
@@ -147,17 +131,17 @@ void ExecFast(FastKernel kern, std::size_t kc, const float* a,
 
 // ----------------------------------------------------- one-time validation
 //
-// Every ISA kernel must reproduce the oracles on THIS machine before it
-// can become a candidate: fp32 within tolerance of a double-precision
-// reference (odd shape, k crossing multiple kc blocks, both prepacked and
-// on-the-fly paths), int8 bit-exactly against GemmInt8DequantGeneric, the
-// fast transposed kernels against double references. A kernel that fails
-// (e.g. a broken ISA emulation layer) is silently excluded — the registry
-// then simply never schedules it.
+// Every ISA kernel must reproduce the oracles on THIS machine before a
+// plan may name it: fp32 within tolerance of a double-precision reference
+// (odd shape, k crossing multiple kc blocks, both prepacked and on-the-fly
+// paths), int8 bit-exactly against GemmInt8DequantGeneric, the fast
+// transposed kernels against double references. A kernel that fails (e.g.
+// a broken ISA emulation layer) is silently excluded — the registry then
+// simply never schedules it.
 
 struct Validated {
   bool fast[kNumFastKernels] = {};
-  bool int8[3] = {};
+  bool int8_avx2 = false;
   bool ta_fast = false;
   bool tb_fast = false;
 };
@@ -195,10 +179,9 @@ Validated ValidateAll() {
   }
 
   const FastKernel kernels[] = {
-      FastKernel::kExactTiled,   FastKernel::kGenericPacked,
-      FastKernel::kAvx2Row,      FastKernel::kAvx2Direct,
-      FastKernel::kAvx2Packed,   FastKernel::kAvx512Direct,
-      FastKernel::kAvx512Packed,
+      FastKernel::kExactTiled, FastKernel::kGenericPacked,
+      FastKernel::kAvx2Row,    FastKernel::kAvx2Direct,
+      FastKernel::kAvx2Packed, FastKernel::kAvx512Packed,
   };
   for (FastKernel kern : kernels) {
     if (!IsaSupported(kern)) continue;
@@ -216,7 +199,7 @@ Validated ValidateAll() {
     val.fast[FastIdx(kern)] = ok;
   }
 
-  // Int8 candidates: bit-equality against the generic kernel.
+  // Int8 AVX2 kernel: bit-equality against the generic kernel.
   const std::size_t astride = quant::Int8PaddedDepth(k);
   std::vector<std::int16_t> aq(m * astride, 0);
   std::vector<float> row_scales(m);
@@ -230,19 +213,12 @@ Validated ValidateAll() {
   quant::GemmInt8DequantGeneric(aq.data(), astride, row_scales.data(),
                                 wq.panels.data(), wq.scales.data(),
                                 cgen.data(), m, k, n);
-  val.int8[Int8Idx(quant::Int8Kernel::kGeneric)] = true;
-  for (quant::Int8Kernel kern :
-       {quant::Int8Kernel::kAvx2, quant::Int8Kernel::kVnni}) {
-    if (!quant::Int8KernelSupported(kern)) continue;
+  if (quant::Int8KernelSupported(quant::Int8Kernel::kAvx2)) {
     std::vector<float> c(c0);
-    quant::GemmInt8DequantWith(kern, aq.data(), astride,
-                               row_scales.data(), wq.panels.data(),
+    quant::GemmInt8DequantWith(quant::Int8Kernel::kAvx2, aq.data(),
+                               astride, row_scales.data(), wq.panels.data(),
                                wq.scales.data(), c.data(), m, k, n);
-    bool ok = true;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      if (c[i] != cgen[i]) ok = false;
-    }
-    val.int8[Int8Idx(kern)] = ok;
+    val.int8_avx2 = c == cgen;
   }
 
   // Fast transposed kernels against double references. dW shape: A is
@@ -295,323 +271,35 @@ const Validated& GetValidated() {
 
 // -------------------------------------------------------- plan construction
 
-/// The legacy fixed-constant dispatch as a plan: what the code shipped
-/// before the registry existed, and the bench's "fixed" baseline.
-GemmPlan HeuristicPlan(std::size_t k, std::size_t n) {
+/// k-block depth of avx512_packed past one default block. PackedBSize pads
+/// k up to a multiple of kc, so a layer at most kKc deep keeps kKc.
+constexpr std::size_t kAvx512Kc = 512;
+
+/// The one plan this machine serves for a (k, n) weight: the preferred
+/// validated kernel of each row class, a fixed function of ValidateAll's
+/// verdicts (README, "Kernel registry", has the measurements behind the
+/// order). Nothing is timed, so every set-up picks the same kernels.
+/// Without AVX2 the thin and direct classes run the exact tiled kernel.
+GemmPlan MachinePlan(std::size_t k, std::size_t n) {
+  const Validated& val = GetValidated();
+  const auto ok = [&](FastKernel kern) { return val.fast[FastIdx(kern)]; };
   GemmPlan plan;
   plan.k = k;
   plan.n = n;
-  plan.kc = gemm_detail::kKc;
-#ifdef MILR_GEMM_HAVE_AVX2
-  if (gemm_detail::HasAvx2Fma()) {
-    plan.thin = FastKernel::kAvx2Row;
-    plan.direct = FastKernel::kAvx2Direct;
+  if (ok(FastKernel::kAvx2Row)) plan.thin = FastKernel::kAvx2Row;
+  if (ok(FastKernel::kAvx2Direct)) plan.direct = FastKernel::kAvx2Direct;
+  if (ok(FastKernel::kAvx512Packed)) {
+    plan.packed = FastKernel::kAvx512Packed;
+    if (k > gemm_detail::kKc) plan.kc = kAvx512Kc;
+  } else if (ok(FastKernel::kAvx2Packed)) {
     plan.packed = FastKernel::kAvx2Packed;
-  } else
-#endif
-  {
-#ifdef MILR_GEMM_HAVE_VEC
+  } else if (ok(FastKernel::kGenericPacked)) {
     plan.packed = FastKernel::kGenericPacked;
-#endif
   }
-  plan.int8 = quant::Int8KernelSupported(quant::Int8Kernel::kAvx2)
-                  ? quant::Int8Kernel::kAvx2
-                  : quant::Int8Kernel::kGeneric;
+  if (val.int8_avx2) plan.int8 = quant::Int8Kernel::kAvx2;
+  if (val.ta_fast) plan.ta = TransKernel::kFast;
+  if (val.tb_fast) plan.tb = TransKernel::kFast;
   return plan;
-}
-
-GemmPlan PinnedPlan(KernelRegistry::Pin pin, std::size_t k,
-                    std::size_t n) {
-  GemmPlan plan = HeuristicPlan(k, n);
-  const Validated& val = GetValidated();
-  switch (pin) {
-    case KernelRegistry::Pin::kNone:
-    case KernelRegistry::Pin::kFixed:
-      return plan;  // the legacy dispatch IS the fixed pin
-    case KernelRegistry::Pin::kGeneric:
-      plan.thin = FastKernel::kExactTiled;
-      plan.direct = val.fast[FastIdx(FastKernel::kGenericPacked)]
-                        ? FastKernel::kGenericPacked
-                        : FastKernel::kExactTiled;
-      plan.packed = plan.direct;
-      plan.int8 = quant::Int8Kernel::kGeneric;
-      break;
-    case KernelRegistry::Pin::kAvx2:
-      if (val.fast[FastIdx(FastKernel::kAvx2Direct)]) {
-        plan.thin = FastKernel::kAvx2Row;
-        plan.direct = FastKernel::kAvx2Direct;
-        plan.packed = FastKernel::kAvx2Packed;
-      }
-      if (val.int8[Int8Idx(quant::Int8Kernel::kAvx2)]) {
-        plan.int8 = quant::Int8Kernel::kAvx2;
-      }
-      break;
-    case KernelRegistry::Pin::kAvx512:
-      if (val.fast[FastIdx(FastKernel::kAvx512Direct)]) {
-        plan.thin = FastKernel::kAvx2Row;
-        plan.direct = FastKernel::kAvx512Direct;
-        plan.packed = FastKernel::kAvx512Packed;
-      }
-      if (val.int8[Int8Idx(quant::Int8Kernel::kVnni)]) {
-        plan.int8 = quant::Int8Kernel::kVnni;
-      }
-      break;
-  }
-  plan.ta = val.ta_fast ? TransKernel::kFast : TransKernel::kTiled;
-  plan.tb = val.tb_fast ? TransKernel::kFast : TransKernel::kTiled;
-  return plan;
-}
-
-/// Times one candidate: repeats until `sample_ms` (or the remaining
-/// budget) elapses, at least once, and returns ms per call.
-template <typename Fn>
-double MeasureMs(Fn&& fn, double sample_ms, double budget_left_ms) {
-  const double cap = std::min(sample_ms, budget_left_ms);
-  const Clock::time_point t0 = Clock::now();
-  int reps = 0;
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++reps;
-    elapsed = MsSince(t0);
-  } while (elapsed < cap);
-  return elapsed / reps;
-}
-
-/// Micro-benchmarks the candidates for one (k, n) shape within
-/// `budget_ms`. Classes are tuned in decreasing order of serving impact —
-/// packed (the dense prepacked serve path, and the kc decision), direct
-/// (conv row blocks), thin, int8, transposed — so an exhausted budget
-/// degrades gracefully toward the heuristic plan.
-GemmPlan TunePlan(std::size_t k, std::size_t n, double budget_ms) {
-  GemmPlan plan = HeuristicPlan(k, n);
-  if (budget_ms <= 0.0) return plan;
-  const Validated& val = GetValidated();
-  const Clock::time_point t0 = Clock::now();
-  const auto left = [&] { return budget_ms - MsSince(t0); };
-
-  const std::size_t m_thin = 2, m_packed = 8, m_direct = 32;
-  std::vector<float> a(m_direct * k), b(k * n), c(m_direct * n);
-  Fill(a, 21);
-  Fill(b, 22);
-  Fill(c, 23);
-
-  // ~candidate count for the default machine; each gets an equal slice.
-  const double sample_ms = budget_ms / 24.0;
-
-  const auto fast_ok = [&](FastKernel kern) {
-    return val.fast[FastIdx(kern)];
-  };
-
-  // --- packed class (prepacked B, dense micro-batch rows) + kc choice.
-  {
-    struct Cand {
-      FastKernel kern;
-      std::size_t kc;  // panel depth (ignored by direct/row kernels)
-    };
-    std::vector<Cand> cands;
-    for (FastKernel kern :
-         {FastKernel::kAvx2Direct, FastKernel::kAvx512Direct}) {
-      if (fast_ok(kern)) cands.push_back({kern, gemm_detail::kKc});
-    }
-    for (FastKernel kern :
-         {FastKernel::kAvx2Packed, FastKernel::kAvx512Packed,
-          FastKernel::kGenericPacked}) {
-      if (!fast_ok(kern)) continue;
-      // Skip the generic micro-kernel when AVX2 variants exist — it never
-      // wins there and the budget is better spent on kc variants.
-      if (kern == FastKernel::kGenericPacked &&
-          fast_ok(FastKernel::kAvx2Packed)) {
-        continue;
-      }
-      for (std::size_t kc : {std::size_t{128}, std::size_t{256},
-                             std::size_t{512}}) {
-        cands.push_back({kern, kc});
-      }
-    }
-    double best = -1.0;
-    for (const Cand& cand : cands) {
-      if (left() <= 0.0) break;
-      std::vector<float> bpack;
-      const float* bp = nullptr;
-      if (FastKernelIsPacked(cand.kern)) {
-        bpack.resize(PackedBSize(k, n, cand.kc));
-        PackBPanels(b.data(), k, n, bpack.data(), cand.kc);
-        bp = bpack.data();
-      }
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            ExecFast(cand.kern, cand.kc, a.data(), b.data(), bp, c.data(),
-                     m_packed, k, n);
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.packed = cand.kern;
-        plan.kc = FastKernelIsPacked(cand.kern) ? cand.kc
-                                                : gemm_detail::kKc;
-      }
-    }
-  }
-
-  // --- direct class (no packed B: conv im2col row blocks).
-  {
-    std::vector<FastKernel> cands;
-    if (fast_ok(FastKernel::kAvx2Direct)) {
-      cands.push_back(FastKernel::kAvx2Direct);
-      cands.push_back(FastKernel::kAvx2Row);
-    }
-    if (fast_ok(FastKernel::kAvx512Direct)) {
-      cands.push_back(FastKernel::kAvx512Direct);
-    }
-    if (cands.empty() && fast_ok(FastKernel::kGenericPacked)) {
-      cands.push_back(FastKernel::kGenericPacked);
-      cands.push_back(FastKernel::kExactTiled);
-    }
-    double best = -1.0;
-    for (FastKernel kern : cands) {
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            ExecFast(kern, plan.kc, a.data(), b.data(), nullptr, c.data(),
-                     m_direct, k, n);
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.direct = kern;
-      }
-    }
-  }
-
-  // --- thin class (m < 4: single-sample ForwardBatch, thin conv shapes).
-  if (fast_ok(FastKernel::kAvx2Row)) {
-    double best = -1.0;
-    for (FastKernel kern : {FastKernel::kAvx2Row, FastKernel::kExactTiled}) {
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            ExecFast(kern, plan.kc, a.data(), b.data(), nullptr, c.data(),
-                     m_thin, k, n);
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.thin = kern;
-      }
-    }
-  }
-
-  // --- int8 kernel (dense quantized serve path).
-  if (k <= quant::kInt8MaxDepth && left() > 0.0) {
-    const std::size_t astride = quant::Int8PaddedDepth(k);
-    std::vector<std::int16_t> aq(m_packed * astride, 0);
-    std::vector<float> row_scales(m_packed);
-    for (std::size_t i = 0; i < m_packed; ++i) {
-      row_scales[i] = quant::QuantizeActivationRow(
-          a.data() + i * k, k, aq.data() + i * astride);
-    }
-    quant::Int8ServingWeights wq =
-        quant::PrepareInt8ServingWeights(b.data(), k, n);
-    double best = -1.0;
-    for (quant::Int8Kernel kern :
-         {quant::Int8Kernel::kVnni, quant::Int8Kernel::kAvx2,
-          quant::Int8Kernel::kGeneric}) {
-      if (!val.int8[Int8Idx(kern)]) continue;
-      // The generic kernel only matters when no SIMD variant exists.
-      if (kern == quant::Int8Kernel::kGeneric &&
-          val.int8[Int8Idx(quant::Int8Kernel::kAvx2)]) {
-        continue;
-      }
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            quant::GemmInt8DequantWith(kern, aq.data(), astride,
-                                       row_scales.data(),
-                                       wq.panels.data(), wq.scales.data(),
-                                       c.data(), m_packed, k, n);
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.int8 = kern;
-      }
-    }
-  }
-
-  // --- transposed products (training dW / dX at a typical shard size).
-  const std::size_t rows = 32;
-  if (val.ta_fast && left() > 0.0) {
-    std::vector<float> xt(rows * k), dy(rows * n), dw(k * n);
-    Fill(xt, 24);
-    Fill(dy, 25);
-    Fill(dw, 26);
-    double best = -1.0;
-    for (TransKernel kern : {TransKernel::kFast, TransKernel::kTiled}) {
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            if (kern == TransKernel::kFast) {
-              GemmTransposedAAccumulateFast(xt.data(), dy.data(),
-                                            dw.data(), k, rows, n);
-            } else {
-              GemmTransposedAAccumulate(xt.data(), dy.data(), dw.data(),
-                                        k, rows, n);
-            }
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.ta = kern;
-      }
-    }
-  }
-  if (val.tb_fast && left() > 0.0) {
-    std::vector<float> dy(rows * n), dx(rows * k);
-    Fill(dy, 27);
-    Fill(dx, 28);
-    double best = -1.0;
-    for (TransKernel kern : {TransKernel::kFast, TransKernel::kTiled}) {
-      if (left() <= 0.0) break;
-      const double ms = MeasureMs(
-          [&] {
-            if (kern == TransKernel::kFast) {
-              GemmTransposedBAccumulateFast(dy.data(), b.data(), dx.data(),
-                                            rows, n, k);
-            } else {
-              GemmTransposedBAccumulate(dy.data(), b.data(), dx.data(),
-                                        rows, n, k);
-            }
-          },
-          sample_ms, left());
-      if (best < 0.0 || ms < best) {
-        best = ms;
-        plan.tb = kern;
-      }
-    }
-  }
-
-  plan.tune_ms = MsSince(t0);
-  plan.tuned = true;
-  return plan;
-}
-
-KernelRegistry::Pin ParsePinEnv() {
-  const char* env = std::getenv("MILR_KERNEL_PIN");
-  if (env == nullptr || env[0] == '\0') return KernelRegistry::Pin::kNone;
-  const std::string value(env);
-  if (value == "fixed") return KernelRegistry::Pin::kFixed;
-  if (value == "generic") return KernelRegistry::Pin::kGeneric;
-  if (value == "avx2") return KernelRegistry::Pin::kAvx2;
-  if (value == "avx512") return KernelRegistry::Pin::kAvx512;
-  return KernelRegistry::Pin::kNone;  // unknown values: no pin
-}
-
-double ParseBudgetEnv() {
-  const char* env = std::getenv("MILR_AUTOTUNE_MS");
-  if (env == nullptr || env[0] == '\0') return 50.0;  // default per plan
-  return std::strtod(env, nullptr);
 }
 
 }  // namespace
@@ -623,7 +311,6 @@ const char* FastKernelName(FastKernel kernel) {
     case FastKernel::kAvx2Row: return "avx2_row";
     case FastKernel::kAvx2Direct: return "avx2_direct";
     case FastKernel::kAvx2Packed: return "avx2_packed";
-    case FastKernel::kAvx512Direct: return "avx512_direct";
     case FastKernel::kAvx512Packed: return "avx512_packed";
   }
   return "?";
@@ -644,22 +331,15 @@ std::string DescribeGemmPlan(const GemmPlan& plan) {
   out += plan.ta == TransKernel::kFast ? "fast" : "tiled";
   out += ",dx=";
   out += plan.tb == TransKernel::kFast ? "fast" : "tiled";
-  out += plan.tuned ? ",tuned" : ",heuristic";
   return out;
 }
 
 struct KernelRegistry::Impl {
   mutable std::mutex mutex;
   std::map<std::pair<std::size_t, std::size_t>, GemmPlan> plans;
-  double budget_ms = 50.0;
-  Pin pin = Pin::kNone;
-  Stats stats;
 };
 
-KernelRegistry::KernelRegistry() : impl_(new Impl) {
-  impl_->budget_ms = ParseBudgetEnv();
-  impl_->pin = ParsePinEnv();
-}
+KernelRegistry::KernelRegistry() : impl_(new Impl) {}
 
 KernelRegistry& KernelRegistry::Get() {
   static KernelRegistry* registry = new KernelRegistry();  // leaked
@@ -667,52 +347,26 @@ KernelRegistry& KernelRegistry::Get() {
 }
 
 GemmPlan KernelRegistry::PlanFor(std::size_t k, std::size_t n) {
-  if (k == 0 || n == 0) return HeuristicPlan(k, n);
+  if (k == 0 || n == 0) return MachinePlan(k, n);
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto key = std::make_pair(k, n);
   auto it = impl_->plans.find(key);
-  if (it != impl_->plans.end()) return it->second;
-  GemmPlan plan = impl_->pin != Pin::kNone
-                      ? PinnedPlan(impl_->pin, k, n)
-                      : TunePlan(k, n, impl_->budget_ms);
-  impl_->plans.emplace(key, plan);
-  impl_->stats.plans += 1;
-  if (plan.tuned) {
-    impl_->stats.tuned += 1;
-    impl_->stats.total_tune_ms += plan.tune_ms;
+  if (it == impl_->plans.end()) {
+    it = impl_->plans.emplace(key, MachinePlan(k, n)).first;
   }
-  return plan;
-}
-
-double KernelRegistry::autotune_budget_ms() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->budget_ms;
-}
-
-void KernelRegistry::set_autotune_budget_ms(double ms) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->budget_ms = ms;
-}
-
-KernelRegistry::Pin KernelRegistry::pin() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->pin;
-}
-
-void KernelRegistry::set_pin(Pin pin) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->pin = pin;
+  return it->second;
 }
 
 KernelRegistry::Stats KernelRegistry::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->stats;
+  Stats stats;
+  stats.plans = impl_->plans.size();
+  return stats;
 }
 
 void KernelRegistry::Reset() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->plans.clear();
-  impl_->stats = Stats{};
 }
 
 // ---------------------------------------------------------------- execution
@@ -721,7 +375,7 @@ void RunFastGemm(const GemmPlan* plan, const float* a, const float* b,
                  const float* bpack, float* c, std::size_t m,
                  std::size_t k, std::size_t n) {
   if (m == 0 || n == 0 || k == 0) return;
-  if (plan == nullptr) {  // legacy dispatch for unplanned callers
+  if (plan == nullptr) {  // fixed gemm.h dispatch for unplanned callers
     if (bpack != nullptr) {
       GemmAccumulateFastPrepacked(a, b, bpack, c, m, k, n);
     } else {

@@ -64,8 +64,8 @@ class Model {
   bool activation_scale_caching() const { return act_scale_cache_; }
 
   /// Per-layer kernel descriptions ("dense_2: int8[...]"), one entry per
-  /// layer — telemetry and the bench report surface these so the tuned
-  /// registry decisions are observable.
+  /// layer — telemetry and the bench report surface these so the
+  /// registry's kernel plans are observable.
   std::vector<std::string> KernelDescriptions() const;
 
   const Shape& input_shape() const { return input_shape_; }

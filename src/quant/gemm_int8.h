@@ -274,94 +274,6 @@ __attribute__((target("avx2"))) inline void GemmInt8DequantAvx2(
   }
 }
 
-/// CPUID probe for the VNNI kernel: vpdpwssd on ymm operands needs the
-/// AVX512VL forms of AVX512VNNI.
-inline bool HasAvx512Vnni() {
-  static const bool ok = __builtin_cpu_supports("avx512vnni") &&
-                         __builtin_cpu_supports("avx512vl");
-  return ok;
-}
-
-/// VNNI flavor of GemmInt8DequantAvx2: vpdpwssd fuses the madd and the
-/// add into one instruction, halving the accumulate chain. Bit-identical
-/// to the other kernels by construction — with |a| <= 2047 and |w| <= 127
-/// no s16 madd can saturate and no s32 sum can overflow below
-/// kInt8MaxDepth, so the fused and unfused pipelines compute the same
-/// exact integers.
-__attribute__((target("avx2,avx512f,avx512vl,avx512vnni"))) inline void
-GemmInt8DequantVnni(const std::int16_t* aq, std::size_t astride,
-                    const float* row_scales, const std::int8_t* bpack,
-                    const float* scales, float* c, std::size_t m,
-                    std::size_t k, std::size_t n) {
-  constexpr std::size_t kMr = 4;
-  const std::size_t k2 = Int8PaddedDepth(k);
-  const std::size_t pairs = k2 / kInt8KPair;
-  const std::size_t n_panels =
-      (n + kInt8ColPanel - 1) / kInt8ColPanel;
-  for (std::size_t q = 0; q < n_panels; ++q) {
-    const std::size_t jc = q * kInt8ColPanel;
-    const std::size_t nb =
-        n - jc < kInt8ColPanel ? n - jc : kInt8ColPanel;
-    const std::int8_t* panel = bpack + q * k2 * kInt8ColPanel;
-    std::size_t i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      __m256i acc[kMr][2];
-      for (std::size_t r = 0; r < kMr; ++r) {
-        acc[r][0] = _mm256_setzero_si256();
-        acc[r][1] = _mm256_setzero_si256();
-      }
-      const std::int16_t* arow[kMr];
-      for (std::size_t r = 0; r < kMr; ++r) {
-        arow[r] = aq + (i + r) * astride;
-      }
-      for (std::size_t t = 0; t < pairs; ++t) {
-        const std::int8_t* pair = panel + t * kInt8KPair * kInt8ColPanel;
-        const __m256i b_lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(pair)));  // cols jc..jc+7
-        const __m256i b_hi = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(pair + 16)));  // jc+8..+15
-        for (std::size_t r = 0; r < kMr; ++r) {
-          std::int32_t a_word;
-          __builtin_memcpy(&a_word, arow[r] + t * kInt8KPair,
-                           sizeof(a_word));
-          const __m256i a_bcast = _mm256_set1_epi32(a_word);
-          acc[r][0] = _mm256_dpwssd_epi32(acc[r][0], a_bcast, b_lo);
-          acc[r][1] = _mm256_dpwssd_epi32(acc[r][1], a_bcast, b_hi);
-        }
-      }
-      for (std::size_t r = 0; r < kMr; ++r) {
-        alignas(32) std::int32_t lanes[kInt8ColPanel];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[r][0]);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8),
-                           acc[r][1]);
-        DequantEpilogue(c + (i + r) * n, lanes, row_scales[i + r], scales,
-                        jc, nb);
-      }
-    }
-    for (; i < m; ++i) {  // leftover rows: one-row tile, same pipeline
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      const std::int16_t* arow = aq + i * astride;
-      for (std::size_t t = 0; t < pairs; ++t) {
-        const std::int8_t* pair = panel + t * kInt8KPair * kInt8ColPanel;
-        const __m256i b_lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(pair)));
-        const __m256i b_hi = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(pair + 16)));
-        std::int32_t a_word;
-        __builtin_memcpy(&a_word, arow + t * kInt8KPair, sizeof(a_word));
-        const __m256i a_bcast = _mm256_set1_epi32(a_word);
-        acc0 = _mm256_dpwssd_epi32(acc0, a_bcast, b_lo);
-        acc1 = _mm256_dpwssd_epi32(acc1, a_bcast, b_hi);
-      }
-      alignas(32) std::int32_t lanes[kInt8ColPanel];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc0);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 8), acc1);
-      DequantEpilogue(c + i * n, lanes, row_scales[i], scales, jc, nb);
-    }
-  }
-}
-
 }  // namespace int8_detail
 #endif  // MILR_QUANT_HAVE_AVX2
 
@@ -387,16 +299,15 @@ inline void GemmInt8Dequant(const std::int16_t* aq, std::size_t astride,
                          n);
 }
 
-/// The int8 micro-kernel candidates the kernel registry chooses between.
-/// All three are bit-identical (file comment), so the choice is purely a
-/// throughput decision and never perturbs served outputs.
-enum class Int8Kernel { kGeneric, kAvx2, kVnni };
+/// The int8 micro-kernels a kernel-registry plan can name. Both are
+/// bit-identical (file comment), so the choice is purely a throughput
+/// decision and never perturbs served outputs.
+enum class Int8Kernel { kGeneric, kAvx2 };
 
 inline const char* Int8KernelName(Int8Kernel which) {
   switch (which) {
     case Int8Kernel::kGeneric: return "generic";
     case Int8Kernel::kAvx2: return "avx2";
-    case Int8Kernel::kVnni: return "vnni";
   }
   return "?";
 }
@@ -407,10 +318,8 @@ inline bool Int8KernelSupported(Int8Kernel which) {
     case Int8Kernel::kGeneric:
       return true;
     case Int8Kernel::kAvx2:
-    case Int8Kernel::kVnni:
 #ifdef MILR_QUANT_HAVE_AVX2
-      return which == Int8Kernel::kAvx2 ? int8_detail::HasAvx2()
-                                        : int8_detail::HasAvx512Vnni();
+      return int8_detail::HasAvx2();
 #else
       return false;
 #endif
@@ -429,12 +338,7 @@ inline void GemmInt8DequantWith(Int8Kernel which, const std::int16_t* aq,
                                 std::size_t n) {
   if (m == 0 || n == 0 || k == 0) return;
 #ifdef MILR_QUANT_HAVE_AVX2
-  if (which == Int8Kernel::kVnni && int8_detail::HasAvx512Vnni()) {
-    int8_detail::GemmInt8DequantVnni(aq, astride, row_scales, bpack,
-                                     scales, c, m, k, n);
-    return;
-  }
-  if (which != Int8Kernel::kGeneric && int8_detail::HasAvx2()) {
+  if (which == Int8Kernel::kAvx2 && int8_detail::HasAvx2()) {
     int8_detail::GemmInt8DequantAvx2(aq, astride, row_scales, bpack,
                                      scales, c, m, k, n);
     return;

@@ -90,10 +90,6 @@ struct EngineConfig {
   /// afterwards and need a different tier must call
   /// Model::set_kernel_config themselves.
   nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Kernel-registry autotune budget override in ms per GEMM shape; < 0
-  /// (default) keeps the registry's own budget, 0 pins the deterministic
-  /// heuristic plans (see ModelRuntimeConfig::autotune_budget_ms).
-  double autotune_budget_ms = -1.0;
   /// Opt-in int8 activation-scale caching (default off; see
   /// ModelRuntimeConfig::activation_scale_cache).
   bool activation_scale_cache = false;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/kernel_registry.h"
 #include "runtime/worker_pool.h"
 
 namespace milr::runtime {
@@ -21,12 +20,6 @@ ModelRuntime::ModelRuntime(nn::Model& model, ModelRuntimeConfig config,
   // data through the per-sample exact kernels regardless, but the serving
   // tier must be in place before the first PredictBatch (and for the fast
   // tier this packs the dense weight panels once, here, not per request).
-  // The autotune budget override must land before set_kernel_config — that
-  // call is what makes the layers fetch (and tune) their registry plans.
-  if (config_.autotune_budget_ms >= 0.0) {
-    nn::KernelRegistry::Get().set_autotune_budget_ms(
-        config_.autotune_budget_ms);
-  }
   model_->set_activation_scale_caching(config_.activation_scale_cache);
   model_->set_kernel_config(config_.kernel);
   if (config_.slo_ms > 0.0) {

@@ -67,13 +67,6 @@ struct ModelRuntimeConfig {
   /// Applied to the caller-owned model at runtime construction and not
   /// restored afterwards.
   nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Kernel-registry autotune budget override, per GEMM shape, in
-  /// milliseconds. Negative (default) leaves the registry's budget alone
-  /// (MILR_AUTOTUNE_MS or the built-in default); >= 0 sets it process-wide
-  /// before the model's layers fetch their plans — 0 pins the
-  /// deterministic heuristic plans. The registry is shared, so the last
-  /// runtime constructed with an override wins.
-  double autotune_budget_ms = -1.0;
   /// Opt-in int8 activation-scale caching (Model /
   /// DenseLayer::set_activation_scale_caching). Default off: the int8
   /// tier's bit-stability contract only covers the default.

@@ -1,11 +1,15 @@
-// Tests for the autotuned kernel registry (nn/kernel_registry.h):
-// deterministic plans under a zero budget, plan caching and bounded tune
-// time, ISA micro-kernels against their oracles (clean skips off-ISA),
-// transposed fast kernels against double references, packed-panel
-// invalidation when the plan's blocking changes, batched backward
-// bit-identity, and the opt-in int8 activation-scale cache.
+// Tests for the kernel registry (nn/kernel_registry.h): one plan per
+// machine (the same plan after every Reset, the kernels the ISA allows,
+// nothing measured), plan caching, the planned fast kernels against the
+// exact tier on the served shapes, ISA micro-kernels against their oracles
+// (clean skips off-ISA), transposed fast kernels against double
+// references, batched backward bit-identity, and the opt-in int8
+// activation-scale cache.
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,25 +26,11 @@
 namespace milr::nn {
 namespace {
 
-/// Saves/restores the process-wide registry knobs so tests cannot leak
-/// budget or pin overrides into each other; every test starts from an
-/// empty plan cache.
+/// Every test starts and ends with an empty plan cache.
 class KernelRegistryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_budget_ = KernelRegistry::Get().autotune_budget_ms();
-    saved_pin_ = KernelRegistry::Get().pin();
-    KernelRegistry::Get().Reset();
-  }
-  void TearDown() override {
-    KernelRegistry::Get().set_autotune_budget_ms(saved_budget_);
-    KernelRegistry::Get().set_pin(saved_pin_);
-    KernelRegistry::Get().Reset();
-  }
-
- private:
-  double saved_budget_ = 0.0;
-  KernelRegistry::Pin saved_pin_ = KernelRegistry::Pin::kNone;
+  void SetUp() override { KernelRegistry::Get().Reset(); }
+  void TearDown() override { KernelRegistry::Get().Reset(); }
 };
 
 void FillRandom(float* data, std::size_t count, std::uint64_t seed) {
@@ -55,77 +45,109 @@ bool PlansEqual(const GemmPlan& a, const GemmPlan& b) {
          a.kc == b.kc && a.int8 == b.int8 && a.ta == b.ta && a.tb == b.tb;
 }
 
-TEST_F(KernelRegistryTest, ZeroBudgetPlansAreDeterministicHeuristics) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
-  const GemmPlan first = KernelRegistry::Get().PlanFor(320, 256);
-  EXPECT_FALSE(first.tuned);
-  EXPECT_EQ(first.tune_ms, 0.0);
+/// (k, n) weight shapes the benchmark serves: steady_mlp's five dense
+/// layers (four distinct shapes), then cifar_small's convs as (F²Z, Y)
+/// and its two dense layers.
+constexpr std::pair<std::size_t, std::size_t> kServedShapes[] = {
+    {256, 320}, {320, 320},  {320, 256},  {256, 10},  // steady_mlp
+    {27, 32},   {288, 32},   {288, 64},   {576, 64},  // cifar_small
+    {576, 128}, {1152, 128}, {2048, 128}, {128, 10},
+};
+
+TEST_F(KernelRegistryTest, PlanDependsOnlyOnTheMachine) {
+  std::vector<GemmPlan> first;
+  for (const auto& [k, n] : kServedShapes) {
+    first.push_back(KernelRegistry::Get().PlanFor(k, n));
+  }
+  for (int round = 0; round < 3; ++round) {
+    KernelRegistry::Get().Reset();
+    for (std::size_t s = 0; s < first.size(); ++s) {
+      const auto [k, n] = kServedShapes[s];
+      const GemmPlan again = KernelRegistry::Get().PlanFor(k, n);
+      EXPECT_TRUE(PlansEqual(first[s], again))
+          << k << "x" << n << ": " << DescribeGemmPlan(first[s]) << " vs "
+          << DescribeGemmPlan(again);
+    }
+    const KernelRegistry::Stats stats = KernelRegistry::Get().stats();
+    EXPECT_EQ(stats.plans, std::size(kServedShapes));
+    EXPECT_EQ(stats.total_tune_ms, 0.0);
+  }
+
+  for (std::size_t s = 0; s < first.size(); ++s) {
+    const auto [k, n] = kServedShapes[s];
+    const GemmPlan& plan = first[s];
+    EXPECT_EQ(plan.k, k);
+    EXPECT_EQ(plan.n, n);
+#ifdef MILR_GEMM_HAVE_AVX512
+    if (gemm_detail::HasAvx512f()) {
+      EXPECT_EQ(plan.packed, FastKernel::kAvx512Packed) << k << "x" << n;
+      EXPECT_EQ(plan.kc, k > 256 ? 512u : 256u) << k << "x" << n;
+    }
+#endif
+#ifdef MILR_GEMM_HAVE_AVX2
+    if (gemm_detail::HasAvx2Fma()) {
+      EXPECT_EQ(plan.thin, FastKernel::kAvx2Row) << k << "x" << n;
+      EXPECT_EQ(plan.direct, FastKernel::kAvx2Direct) << k << "x" << n;
+      EXPECT_EQ(plan.int8, quant::Int8Kernel::kAvx2) << k << "x" << n;
+    }
+#endif
+  }
+
+  // A whole model serves the same kernels after a fresh set-up.
+  Model mlp(Shape{256});
+  mlp.AddDense(320).AddBias().AddReLU().AddDense(320).AddBias().AddReLU();
+  mlp.AddDense(320).AddBias().AddReLU().AddDense(256).AddBias().AddReLU();
+  mlp.AddDense(10).AddBias();
+  mlp.set_kernel_config(KernelConfig::kFast);
+  const std::vector<std::string> descriptions = mlp.KernelDescriptions();
   KernelRegistry::Get().Reset();
-  const GemmPlan second = KernelRegistry::Get().PlanFor(320, 256);
-  EXPECT_TRUE(PlansEqual(first, second))
-      << DescribeGemmPlan(first) << " vs " << DescribeGemmPlan(second);
-  // The heuristic plan IS the legacy fixed dispatch, so the "fixed" pin
-  // must reproduce it exactly.
-  KernelRegistry::Get().set_pin(KernelRegistry::Pin::kFixed);
-  KernelRegistry::Get().Reset();
-  const GemmPlan fixed = KernelRegistry::Get().PlanFor(320, 256);
-  EXPECT_TRUE(PlansEqual(first, fixed))
-      << DescribeGemmPlan(first) << " vs " << DescribeGemmPlan(fixed);
+  mlp.set_kernel_config(KernelConfig::kFast);
+  EXPECT_EQ(mlp.KernelDescriptions(), descriptions);
 }
 
 TEST_F(KernelRegistryTest, PlansAreCachedPerShapeAndStatsCount) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
   (void)KernelRegistry::Get().PlanFor(128, 64);
   (void)KernelRegistry::Get().PlanFor(128, 64);
   (void)KernelRegistry::Get().PlanFor(64, 128);
   const KernelRegistry::Stats stats = KernelRegistry::Get().stats();
   EXPECT_EQ(stats.plans, 2u);
-  EXPECT_EQ(stats.tuned, 0u);  // zero budget: nothing measured
-}
-
-TEST_F(KernelRegistryTest, TunedPlanRespectsTimeBudgetApproximately) {
-  const double budget_ms = 20.0;
-  KernelRegistry::Get().set_autotune_budget_ms(budget_ms);
-  const GemmPlan plan = KernelRegistry::Get().PlanFor(320, 256);
-  EXPECT_TRUE(plan.tuned);
-  EXPECT_GT(plan.tune_ms, 0.0);
-  // The budget bounds measurement up to one trailing repetition per
-  // candidate; 5x headroom keeps this robust on slow CI machines while
-  // still catching an unbounded tuner.
-  EXPECT_LT(plan.tune_ms, budget_ms * 5.0);
-  const KernelRegistry::Stats stats = KernelRegistry::Get().stats();
-  EXPECT_EQ(stats.tuned, 1u);
-  EXPECT_GE(stats.total_tune_ms, plan.tune_ms);
+  EXPECT_EQ(stats.total_tune_ms, 0.0);  // nothing is measured
 }
 
 TEST_F(KernelRegistryTest, PlannedFastGemmMatchesExactForAllRowClasses) {
-  KernelRegistry::Get().set_autotune_budget_ms(5.0);
-  const std::size_t k = 96, n = 80;
-  GemmPlan plan = KernelRegistry::Get().PlanFor(k, n);
-  std::vector<float> b(k * n);
-  FillRandom(b.data(), b.size(), 7);
-  std::vector<float> bpack(PackedBSize(k, n, plan.kc));
-  PackBPanels(b.data(), k, n, bpack.data(), plan.kc);
-  // Thin (m=2), direct (m=32), packed-prepacked (m=32), packed on the fly
-  // (m=160 > kDirectMaxRows) all must agree with the exact tier.
-  for (const std::size_t m : {std::size_t{2}, std::size_t{32},
-                              std::size_t{160}}) {
-    std::vector<float> a(m * k), want(m * n, 0.0f);
-    FillRandom(a.data(), a.size(), 100 + m);
-    GemmAccumulate(a.data(), b.data(), want.data(), m, k, n);
-    std::vector<float> got(m * n, 0.0f);
-    RunFastGemm(&plan, a.data(), b.data(), nullptr, got.data(), m, k, n);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_NEAR(got[i], want[i], 1e-3f * (1.0f + std::fabs(want[i])))
-          << "m=" << m << " i=" << i;
-    }
-    if (m >= 4) {
-      std::vector<float> got2(m * n, 0.0f);
-      RunFastGemm(&plan, a.data(), b.data(), bpack.data(), got2.data(), m,
-                  k, n);
-      for (std::size_t i = 0; i < got2.size(); ++i) {
-        ASSERT_NEAR(got2[i], want[i], 1e-3f * (1.0f + std::fabs(want[i])))
-            << "prepacked m=" << m << " i=" << i;
+  // An odd shape plus the served ones: 2048 deep is four k-blocks at the
+  // AVX-512 kc, 256x10 is narrower than one register tile.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {96, 80}, {256, 320}, {320, 320}, {320, 256},
+      {256, 10}, {27, 32}, {2048, 128},
+  };
+  for (const auto& [k, n] : shapes) {
+    const GemmPlan plan = KernelRegistry::Get().PlanFor(k, n);
+    std::vector<float> b(k * n);
+    FillRandom(b.data(), b.size(), 7 + k + n);
+    std::vector<float> bpack(PackedBSize(k, n, plan.kc));
+    PackBPanels(b.data(), k, n, bpack.data(), plan.kc);
+    // Thin (m=2), direct and packed-prepacked (m=8, 32), packed on the
+    // fly (m=160 > kDirectMaxRows) all must agree with the exact tier.
+    for (const std::size_t m : {std::size_t{2}, std::size_t{8},
+                                std::size_t{32}, std::size_t{160}}) {
+      std::vector<float> a(m * k), want(m * n, 0.0f);
+      FillRandom(a.data(), a.size(), 100 + m);
+      GemmAccumulate(a.data(), b.data(), want.data(), m, k, n);
+      std::vector<float> got(m * n, 0.0f);
+      RunFastGemm(&plan, a.data(), b.data(), nullptr, got.data(), m, k, n);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NEAR(got[i], want[i], 1e-3f * (1.0f + std::fabs(want[i])))
+            << k << "x" << n << " m=" << m << " i=" << i;
+      }
+      if (m >= 4) {
+        std::vector<float> got2(m * n, 0.0f);
+        RunFastGemm(&plan, a.data(), b.data(), bpack.data(), got2.data(), m,
+                    k, n);
+        for (std::size_t i = 0; i < got2.size(); ++i) {
+          ASSERT_NEAR(got2[i], want[i], 1e-3f * (1.0f + std::fabs(want[i])))
+              << k << "x" << n << " prepacked m=" << m << " i=" << i;
+        }
       }
     }
   }
@@ -152,61 +174,19 @@ TEST_F(KernelRegistryTest, Avx512KernelsMatchDoubleOracle) {
       ref[i * n + j] = acc;
     }
   }
-  {
-    std::vector<float> c(c0);
-    gemm_detail::DirectTileKernelAvx512(a.data(), b.data(), c.data(), m, k,
-                                        n);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_NEAR(c[i], ref[i], 1e-3 * (1.0 + std::fabs(ref[i])))
-          << "direct i=" << i;
-    }
-  }
-  {
-    std::vector<float> c(c0);
-    gemm_detail::PackedGemm(a.data(), b.data(), c.data(), m, k, n, 192,
-                            [](const float* ap, const float* bp,
-                               std::size_t kc, float* cacc) {
-                              gemm_detail::MicroKernelAvx512(ap, bp, kc,
-                                                             cacc);
-                            });
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_NEAR(c[i], ref[i], 1e-3 * (1.0 + std::fabs(ref[i])))
-          << "packed i=" << i;
-    }
+  std::vector<float> c(c0);
+  gemm_detail::PackedGemm(a.data(), b.data(), c.data(), m, k, n, 192,
+                          [](const float* ap, const float* bp,
+                             std::size_t kc, float* cacc) {
+                            gemm_detail::MicroKernelAvx512(ap, bp, kc, cacc);
+                          });
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    ASSERT_NEAR(c[i], ref[i], 1e-3 * (1.0 + std::fabs(ref[i])))
+        << "packed i=" << i;
   }
 #else
   GTEST_SKIP() << "built without AVX-512 support";
 #endif
-}
-
-TEST_F(KernelRegistryTest, VnniKernelBitExactAgainstGeneric) {
-  if (!quant::Int8KernelSupported(quant::Int8Kernel::kVnni)) {
-    GTEST_SKIP() << "no AVX-512 VNNI on this machine";
-  }
-  const std::size_t m = 9, k = 333, n = 29;
-  std::vector<float> a(m * k), b(k * n);
-  FillRandom(a.data(), a.size(), 4);
-  FillRandom(b.data(), b.size(), 5);
-  const std::size_t astride = quant::Int8PaddedDepth(k);
-  std::vector<std::int16_t> aq(m * astride, 0);
-  std::vector<float> row_scales(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    row_scales[i] = quant::QuantizeActivationRow(a.data() + i * k, k,
-                                                 aq.data() + i * astride);
-  }
-  const quant::Int8ServingWeights wq =
-      quant::PrepareInt8ServingWeights(b.data(), k, n);
-  std::vector<float> want(m * n, 0.0f), got(m * n, 0.0f);
-  quant::GemmInt8DequantWith(quant::Int8Kernel::kGeneric, aq.data(),
-                             astride, row_scales.data(), wq.panels.data(),
-                             wq.scales.data(), want.data(), m, k, n);
-  quant::GemmInt8DequantWith(quant::Int8Kernel::kVnni, aq.data(), astride,
-                             row_scales.data(), wq.panels.data(),
-                             wq.scales.data(), got.data(), m, k, n);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    // Bit-for-bit: the int8 tier's stability contract spans kernels.
-    ASSERT_EQ(got[i], want[i]) << "i=" << i;
-  }
 }
 
 TEST_F(KernelRegistryTest, TransposedFastKernelsMatchDoubleOracle) {
@@ -259,42 +239,7 @@ TEST_F(KernelRegistryTest, TransposedFastKernelsMatchDoubleOracle) {
   }
 }
 
-TEST_F(KernelRegistryTest, DenseRepacksWhenPlanBlockingChanges) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
-  DenseLayer layer(96, 64);
-  {
-    Tensor& w = layer.weights();
-    FillRandom(w.data(), w.size(), 12);
-  }
-  Tensor batch(Shape{8, 96});
-  FillRandom(batch.data(), batch.size(), 13);
-  Tensor exact = layer.ForwardBatch(batch);  // default tier: exact
-
-  layer.set_kernel_config(KernelConfig::kFast);
-  ASSERT_TRUE(layer.has_plan());
-  const std::size_t kc_before = layer.plan().kc;
-  Tensor fast = layer.ForwardBatch(batch);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_NEAR(fast[i], exact[i], 1e-3f * (1.0f + std::fabs(exact[i])));
-  }
-
-  // Force a different blocking through the cache: re-tune with a real
-  // budget. Whatever kc wins, serving must stay correct — if kc changed,
-  // that correctness proves the stale panels were repacked.
-  KernelRegistry::Get().Reset();
-  KernelRegistry::Get().set_autotune_budget_ms(10.0);
-  layer.set_kernel_config(KernelConfig::kFast);
-  ASSERT_TRUE(layer.plan().tuned);
-  Tensor fast2 = layer.ForwardBatch(batch);
-  for (std::size_t i = 0; i < fast2.size(); ++i) {
-    ASSERT_NEAR(fast2[i], exact[i], 1e-3f * (1.0f + std::fabs(exact[i])));
-  }
-  EXPECT_TRUE(layer.packed_weights_valid());
-  (void)kc_before;  // the tuner may legitimately re-pick the same kc
-}
-
 TEST_F(KernelRegistryTest, BatchedBackwardBitIdenticalAtExactTier) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
   Model model(Shape{24});
   model.AddDense(16).AddBias().AddReLU().AddDense(10);
   Prng prng(31);
@@ -356,7 +301,6 @@ TEST_F(KernelRegistryTest, BatchedBackwardBitIdenticalAtExactTier) {
 }
 
 TEST_F(KernelRegistryTest, TrainingStillLearnsWithBatchedBackward) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
   Model model(Shape{16});
   model.AddDense(24).AddBias().AddReLU().AddDense(4);
   Prng prng(77);
@@ -387,7 +331,6 @@ TEST_F(KernelRegistryTest, TrainingStillLearnsWithBatchedBackward) {
 }
 
 TEST_F(KernelRegistryTest, ActivationScaleCacheLifecycleAndAccuracy) {
-  KernelRegistry::Get().set_autotune_budget_ms(0.0);
   DenseLayer layer(64, 48);
   {
     Tensor& w = layer.weights();
