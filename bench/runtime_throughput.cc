@@ -303,12 +303,8 @@ std::vector<std::string> FastPlanDescriptions(milr::nn::Model& model) {
 // small MLP on the synthetic dataset (the paper's generator) and measures
 // fast/int8 top-1 agreement against exact on held-out samples: the
 // acceptance number for serving *trained* weights from the fast tiers.
-// A small CONV net trains alongside it and additionally measures the
-// int8 tier with the opt-in activation-scale cache ON — the
-// cached-vs-per-row top-1 delta on a conv net is the number the ROADMAP's
-// cached-scales-by-default decision needs (conv patch rows share far more
-// structure than dense rows, so the cached scale's saturation guard is
-// exercised differently here).
+// A small CONV net trains alongside it and measures the same agreement
+// for the int8 conv path.
 
 struct TrainedAgreementResult {
   std::size_t samples = 0;
@@ -319,7 +315,6 @@ struct TrainedAgreementResult {
   double conv_train_accuracy = 0.0;
   double conv_fast_top1 = 1.0;
   double conv_int8_top1 = 1.0;
-  double conv_int8_cached_top1 = 1.0;  // activation_scale_cache on
 };
 
 TrainedAgreementResult RunTrainedAgreement(bool smoke) {
@@ -395,8 +390,7 @@ TrainedAgreementResult RunTrainedAgreement(bool smoke) {
               result.int8_top1);
 
   // Conv net on the same split: the int8 conv path's trained-checkpoint
-  // acceptance number, measured with per-row activation scales (the
-  // default) and with the cached running scale.
+  // acceptance number.
   nn::Model conv(Shape{spec.image_size, spec.image_size, 1});
   conv.AddConv(3, 8, nn::Padding::kSame).AddBias().AddReLU();
   conv.AddMaxPool(2);
@@ -413,31 +407,21 @@ TrainedAgreementResult RunTrainedAgreement(bool smoke) {
   const Tensor conv_fast = conv.PredictBatch(batch);
   conv.set_kernel_config(nn::KernelConfig::kInt8);
   const Tensor conv_int8 = conv.PredictBatch(batch);
-  // Cached-scale pass: warm the running per-layer scale with one batch,
-  // then measure the steady state the cache actually serves.
-  conv.set_activation_scale_caching(true);
-  conv.PredictBatch(batch);
-  const Tensor conv_int8_cached = conv.PredictBatch(batch);
-  conv.set_activation_scale_caching(false);
   conv.set_kernel_config(nn::KernelConfig::kExact);
 
-  std::size_t cfast = 0, cint8 = 0, ccached = 0;
+  std::size_t cfast = 0, cint8 = 0;
   for (std::size_t s = 0; s < test.size(); ++s) {
     const std::size_t want = top1(conv_exact, s);
     cfast += (top1(conv_fast, s) == want) ? 1 : 0;
     cint8 += (top1(conv_int8, s) == want) ? 1 : 0;
-    ccached += (top1(conv_int8_cached, s) == want) ? 1 : 0;
   }
   const double denom = static_cast<double>(test.size());
   result.conv_fast_top1 = static_cast<double>(cfast) / denom;
   result.conv_int8_top1 = static_cast<double>(cint8) / denom;
-  result.conv_int8_cached_top1 = static_cast<double>(ccached) / denom;
   std::printf("trained CONV net top-1 agreement vs exact (train acc %.3f): "
-              "fast %.4f  int8 %.4f  int8+cached-scales %.4f "
-              "(cache delta %+.4f)\n",
+              "fast %.4f  int8 %.4f\n",
               result.conv_train_accuracy, result.conv_fast_top1,
-              result.conv_int8_top1, result.conv_int8_cached_top1,
-              result.conv_int8_cached_top1 - result.conv_int8_top1);
+              result.conv_int8_top1);
   return result;
 }
 
@@ -1094,12 +1078,10 @@ void WriteBenchJson(const char* path, const char* net, bool smoke,
                "\"int8_vs_exact\": %.6f, "
                "\"conv_train_accuracy\": %.6f, "
                "\"conv_fast_vs_exact\": %.6f, "
-               "\"conv_int8_vs_exact\": %.6f, "
-               "\"conv_int8_cached_scales_vs_exact\": %.6f},\n",
+               "\"conv_int8_vs_exact\": %.6f},\n",
                trained.samples, trained.train_accuracy, trained.fast_top1,
                trained.int8_top1, trained.conv_train_accuracy,
-               trained.conv_fast_top1, trained.conv_int8_top1,
-               trained.conv_int8_cached_top1);
+               trained.conv_fast_top1, trained.conv_int8_top1);
   std::fprintf(f, "  \"phases\": [");
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const PhaseRow& row = phases[i];

@@ -134,7 +134,7 @@ def compare(baseline, current):
     base_trained = baseline.get("trained_agreement", {})
     cur_trained = current.get("trained_agreement", {})
     for key in ("fast_vs_exact", "int8_vs_exact", "conv_fast_vs_exact",
-                "conv_int8_vs_exact", "conv_int8_cached_scales_vs_exact"):
+                "conv_int8_vs_exact"):
         if key in base_trained and key in cur_trained:
             floor = base_trained[key] - tol["top1_pct_points"] / 100.0
             comp.check_min(f"trained_agreement.{key}", cur_trained[key],

@@ -119,41 +119,11 @@ void Conv2DLayer::ForwardInt8Block(const quant::Int8ServingWeights& qw,
   thread_local std::vector<float> row_scales;
   if (aq.size() < rows * astride) aq.resize(rows * astride);
   if (row_scales.size() < rows) row_scales.resize(rows);
-  const bool cache_scales = act_scale_cache_;
-  float cached_scale = 0.0f;
-  if (cache_scales) {
-    const float maxabs = act_maxabs_.load(std::memory_order_acquire);
-    const float divided =
-        maxabs / static_cast<float>(quant::kActivationQuantMax);
-    if (divided > 0.0f) cached_scale = divided;
-  }
-  float block_maxabs = 0.0f;
   for (std::size_t r = 0; r < rows; ++r) {
     std::int16_t* arow = aq.data() + r * astride;
-    const float* in_row = patches + r * plen;
-    if (cache_scales) {
-      float row_maxabs = 0.0f;
-      if (quant::QuantizeActivationRowWithScale(in_row, plen, cached_scale,
-                                                arow, &row_maxabs)) {
-        row_scales[r] = cached_scale;
-      } else {
-        // Cold cache or saturation guard tripped: quantize with the row's
-        // own scale and let the running maximum widen below.
-        row_scales[r] = quant::QuantizeActivationRow(in_row, plen, arow);
-      }
-      block_maxabs = std::max(block_maxabs, row_maxabs);
-    } else {
-      row_scales[r] = quant::QuantizeActivationRow(in_row, plen, arow);
-    }
+    row_scales[r] =
+        quant::QuantizeActivationRow(patches + r * plen, plen, arow);
     for (std::size_t p = plen; p < astride; ++p) arow[p] = 0;
-  }
-  if (cache_scales && block_maxabs > 0.0f) {
-    // CAS-max: concurrent row blocks only ever widen the running range.
-    float seen = act_maxabs_.load(std::memory_order_relaxed);
-    while (block_maxabs > seen &&
-           !act_maxabs_.compare_exchange_weak(seen, block_maxabs,
-                                              std::memory_order_acq_rel)) {
-    }
   }
   RunInt8Gemm(has_plan_ ? &plan_ : nullptr, aq.data(), astride,
               row_scales.data(), qw.panels.data(), qw.scales.data(), out,

@@ -74,23 +74,6 @@ class Conv2DLayer final : public Layer {
   /// Tier name plus the registry plan when one is attached.
   std::string KernelDescription() const override;
 
-  /// Opt-in (default off): reuse a running per-layer activation scale on
-  /// the int8 path instead of re-deriving one per im2col patch row,
-  /// falling back — and widening the cache — whenever a row's max-abs
-  /// would saturate the cached range. Changes served bits relative to
-  /// per-row scales, so the int8 tier's bit-stability contract only
-  /// covers the default-off mode. Invalidates with the filter panels on
-  /// Params()/filters().
-  void set_activation_scale_caching(bool enabled) {
-    act_scale_cache_ = enabled;
-    act_maxabs_.store(0.0f, std::memory_order_release);
-  }
-  bool activation_scale_caching() const { return act_scale_cache_; }
-  /// Current running activation max-abs (0 until a row was observed).
-  float cached_activation_maxabs() const {
-    return act_maxabs_.load(std::memory_order_acquire);
-  }
-
   /// Registry plan attached by set_kernel_config (tests/telemetry).
   bool has_plan() const { return has_plan_; }
   const GemmPlan& plan() const { return plan_; }
@@ -169,9 +152,6 @@ class Conv2DLayer final : public Layer {
 
   void InvalidateInt8Filters() {
     int8_valid_.store(false, std::memory_order_release);
-    // Mutated filters mean a new activation distribution downstream; the
-    // running scale restarts from the first post-mutation row.
-    act_maxabs_.store(0.0f, std::memory_order_release);
   }
 
   std::size_t filter_size_;
@@ -182,8 +162,6 @@ class Conv2DLayer final : public Layer {
 
   GemmPlan plan_;          // registry decision for (F²Z, Y); valid iff
   bool has_plan_ = false;  // has_plan_
-  bool act_scale_cache_ = false;
-  mutable std::atomic<float> act_maxabs_{0.0f};  // running finite max-abs
 
   // Derived int8 replica of the filters: (F,F,Z,Y) flat IS row-major
   // (F²Z, Y), so the dense per-output-column quantizer gives exactly the

@@ -70,22 +70,6 @@ class DenseLayer final : public Layer {
   /// Tier name plus the registry plan when one is attached.
   std::string KernelDescription() const override;
 
-  /// Opt-in (default off): reuse a running per-layer activation scale on
-  /// the int8 path instead of re-deriving one per row, falling back —
-  /// and widening the cache — whenever a row's max-abs would saturate the
-  /// cached range. Changes served bits relative to per-row scales, so the
-  /// int8 tier's bit-stability contract only covers the default-off mode.
-  /// The cache invalidates with the weight caches on Params()/weights().
-  void set_activation_scale_caching(bool enabled) {
-    act_scale_cache_ = enabled;
-    act_maxabs_.store(0.0f, std::memory_order_release);
-  }
-  bool activation_scale_caching() const { return act_scale_cache_; }
-  /// Current running activation max-abs (0 until a row was observed).
-  float cached_activation_maxabs() const {
-    return act_maxabs_.load(std::memory_order_acquire);
-  }
-
   /// Registry plan attached by set_kernel_config (tests/telemetry).
   bool has_plan() const { return has_plan_; }
   const GemmPlan& plan() const { return plan_; }
@@ -134,9 +118,6 @@ class DenseLayer final : public Layer {
   void InvalidatePackedWeights() {
     packed_valid_.store(false, std::memory_order_release);
     int8_valid_.store(false, std::memory_order_release);
-    // Mutated weights mean a new activation distribution downstream; the
-    // running scale restarts from the first post-mutation row.
-    act_maxabs_.store(0.0f, std::memory_order_release);
   }
 
   std::size_t in_features_;
@@ -145,8 +126,6 @@ class DenseLayer final : public Layer {
 
   GemmPlan plan_;          // registry decision for (N,P); valid iff
   bool has_plan_ = false;  // has_plan_ (set_kernel_config attaches it)
-  bool act_scale_cache_ = false;
-  mutable std::atomic<float> act_maxabs_{0.0f};  // running finite max-abs
 
   mutable std::mutex pack_mutex_;
   mutable std::vector<float> packed_b_;  // PackBPanels layout, plan_.kc

@@ -13,11 +13,6 @@ Model& Model::Add(std::unique_ptr<Layer> layer) {
   layer->set_name(std::string(LayerKindName(layer->kind())) + "_" +
                   std::to_string(layers_.size()));
   layer->set_kernel_config(kernel_config_);
-  if (auto* dense = dynamic_cast<DenseLayer*>(layer.get())) {
-    dense->set_activation_scale_caching(act_scale_cache_);
-  } else if (auto* conv = dynamic_cast<Conv2DLayer*>(layer.get())) {
-    conv->set_activation_scale_caching(act_scale_cache_);
-  }
   layers_.push_back(std::move(layer));
   shapes_.push_back(out);
   profiler_.Reset(layers_.size());
@@ -27,17 +22,6 @@ Model& Model::Add(std::unique_ptr<Layer> layer) {
 void Model::set_kernel_config(KernelConfig config) {
   kernel_config_ = config;
   for (const auto& layer : layers_) layer->set_kernel_config(config);
-}
-
-void Model::set_activation_scale_caching(bool enabled) {
-  act_scale_cache_ = enabled;
-  for (const auto& layer : layers_) {
-    if (auto* dense = dynamic_cast<DenseLayer*>(layer.get())) {
-      dense->set_activation_scale_caching(enabled);
-    } else if (auto* conv = dynamic_cast<Conv2DLayer*>(layer.get())) {
-      conv->set_activation_scale_caching(enabled);
-    }
-  }
 }
 
 std::vector<std::string> Model::KernelDescriptions() const {

@@ -56,13 +56,6 @@ class Model {
   void set_kernel_config(KernelConfig config);
   KernelConfig kernel_config() const { return kernel_config_; }
 
-  /// Opt-in int8 activation-scale caching (see DenseLayer/Conv2DLayer);
-  /// propagated to every dense and conv layer, including layers added
-  /// later. Default off — the int8 tier's bit-stability contract only
-  /// covers the default.
-  void set_activation_scale_caching(bool enabled);
-  bool activation_scale_caching() const { return act_scale_cache_; }
-
   /// Per-layer kernel descriptions ("dense_2: int8[...]"), one entry per
   /// layer — telemetry and the bench report surface these so the
   /// registry's kernel plans are observable.
@@ -126,7 +119,6 @@ class Model {
   std::vector<Shape> shapes_{input_shape_};  // shapes_[i] = input of layer i
   std::vector<std::unique_ptr<Layer>> layers_;
   KernelConfig kernel_config_ = KernelConfig::kExact;
-  bool act_scale_cache_ = false;
   // mutable: PredictBatch is const; the profiler's relaxed adds are the
   // observability side-channel, not model state.
   mutable obs::LayerProfiler profiler_;

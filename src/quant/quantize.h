@@ -91,23 +91,17 @@ void DequantizeWeights(const QuantizedWeights& q, float* out);
 /// sets the scale, so every row spends its 12 bits on its actual dynamic
 /// range; zero is exactly representable (q = 0) by symmetry. Non-finite
 /// activations map to 0. An all-zero (or all-non-finite) row gets scale 1
-/// and quantizes exactly.
+/// and quantizes exactly. Runtime-dispatched like GemmInt8Dequant: AVX2 on
+/// capable x86-64, QuantizeActivationRowGeneric elsewhere, with the same
+/// scale and the same int16 values bit for bit.
 float QuantizeActivationRow(const float* a, std::size_t k,
                             std::int16_t* out);
 
-/// Quantizes one row with a PRE-COMPUTED scale — the activation-scale
-/// cache on the int8 serving path reuses a layer's running scale across
-/// rows and requests instead of re-deriving one per row. Saturation guard:
-/// when `scale` is not positive, or some finite |a[p]| exceeds
-/// scale * kActivationQuantMax (the cached range would clip the row),
-/// returns false WITHOUT a usable `out` — the caller must fall back to
-/// QuantizeActivationRow and widen its cache. Either way `*maxabs` (if
-/// non-null) receives the row's finite max-abs, which is exactly the
-/// value the caller feeds its running maximum. Trades the per-row
-/// adaptive range for a stable scale, so results differ from the
-/// uncached path in general — callers keep this opt-in.
-bool QuantizeActivationRowWithScale(const float* a, std::size_t k,
-                                    float scale, std::int16_t* out,
-                                    float* maxabs);
+/// Scalar QuantizeActivationRow: the non-AVX2 fallback AND the oracle the
+/// AVX2 kernel is tested against. Each value is lrintf(a[p] / scale) under
+/// the default round-to-nearest-even, clamped; the AVX2 kernel keeps that
+/// exact division (a reciprocal multiply changes some roundings).
+float QuantizeActivationRowGeneric(const float* a, std::size_t k,
+                                   std::int16_t* out);
 
 }  // namespace milr::quant

@@ -18,7 +18,6 @@ ModelRuntimeConfig RuntimeConfigFrom(const EngineConfig& config) {
   runtime.max_batch = config.max_batch;
   runtime.batch_linger = config.batch_linger;
   runtime.kernel = config.kernel;
-  runtime.activation_scale_cache = config.activation_scale_cache;
   runtime.slo_ms = config.slo_ms;
   runtime.slo_target = config.slo_target;
   runtime.milr = config.milr;

@@ -90,9 +90,6 @@ struct EngineConfig {
   /// afterwards and need a different tier must call
   /// Model::set_kernel_config themselves.
   nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Opt-in int8 activation-scale caching (default off; see
-  /// ModelRuntimeConfig::activation_scale_cache).
-  bool activation_scale_cache = false;
   /// Protection preset for the embedded MilrProtector. The extended preset
   /// matters here: its detection tolerance keeps a layer recovered online
   /// (float-rounding residue) from being re-flagged every cycle.

@@ -20,7 +20,6 @@ ModelRuntime::ModelRuntime(nn::Model& model, ModelRuntimeConfig config,
   // data through the per-sample exact kernels regardless, but the serving
   // tier must be in place before the first PredictBatch (and for the fast
   // tier this packs the dense weight panels once, here, not per request).
-  model_->set_activation_scale_caching(config_.activation_scale_cache);
   model_->set_kernel_config(config_.kernel);
   if (config_.slo_ms > 0.0) {
     obs::SloConfig slo;

@@ -67,10 +67,6 @@ struct ModelRuntimeConfig {
   /// Applied to the caller-owned model at runtime construction and not
   /// restored afterwards.
   nn::KernelConfig kernel = nn::KernelConfig::kExact;
-  /// Opt-in int8 activation-scale caching (Model /
-  /// DenseLayer::set_activation_scale_caching). Default off: the int8
-  /// tier's bit-stability contract only covers the default.
-  bool activation_scale_cache = false;
   /// Latency SLO for this model, in milliseconds; <= 0 (default) declares
   /// no objective and disables SLO tracking. With an objective set,
   /// Metrics tracks goodput (requests within the objective) and SRE-style

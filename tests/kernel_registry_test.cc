@@ -3,8 +3,7 @@
 // nothing measured), plan caching, the planned fast kernels against the
 // exact tier on the served shapes, ISA micro-kernels against their oracles
 // (clean skips off-ISA), transposed fast kernels against double
-// references, batched backward bit-identity, and the opt-in int8
-// activation-scale cache.
+// references, and batched backward bit-identity.
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/dense.h"
 #include "nn/gemm.h"
 #include "nn/kernel_registry.h"
 #include "nn/model.h"
@@ -328,60 +326,6 @@ TEST_F(KernelRegistryTest, TrainingStillLearnsWithBatchedBackward) {
   const auto history = Fit(model, data, config);
   EXPECT_LT(history.back().mean_loss, history.front().mean_loss);
   EXPECT_GT(Evaluate(model, data), 0.9);
-}
-
-TEST_F(KernelRegistryTest, ActivationScaleCacheLifecycleAndAccuracy) {
-  DenseLayer layer(64, 48);
-  {
-    Tensor& w = layer.weights();
-    FillRandom(w.data(), w.size(), 16);
-  }
-  Tensor batch(Shape{8, 64});
-  FillRandom(batch.data(), batch.size(), 17);
-  layer.set_kernel_config(KernelConfig::kInt8);
-  const Tensor baseline = layer.ForwardBatch(batch);
-
-  // Default off: repeated serves are bit-identical and no range is kept.
-  const Tensor again = layer.ForwardBatch(batch);
-  for (std::size_t i = 0; i < again.size(); ++i) {
-    ASSERT_EQ(again[i], baseline[i]);
-  }
-  EXPECT_EQ(layer.cached_activation_maxabs(), 0.0f);
-
-  // Opt in: the running max-abs populates and outputs stay within the
-  // int8 tier's tolerance of the fp32 fast path.
-  layer.set_activation_scale_caching(true);
-  Tensor exact(Shape{8, 48});
-  {
-    DenseLayer ref(64, 48);
-    Tensor& w = ref.weights();
-    FillRandom(w.data(), w.size(), 16);
-    exact = ref.ForwardBatch(batch);
-  }
-  const Tensor cached = layer.ForwardBatch(batch);
-  EXPECT_GT(layer.cached_activation_maxabs(), 0.0f);
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    ASSERT_NEAR(cached[i], exact[i], 0.05f * (1.0f + std::fabs(exact[i])));
-  }
-
-  // Saturation guard: rows 100x hotter than the cached range must fall
-  // back to per-row scales (and widen the cache), not clip.
-  Tensor hot(batch.shape());
-  for (std::size_t i = 0; i < hot.size(); ++i) hot[i] = batch[i] * 100.0f;
-  const float before = layer.cached_activation_maxabs();
-  const Tensor served_hot = layer.ForwardBatch(hot);
-  EXPECT_GT(layer.cached_activation_maxabs(), before * 50.0f);
-  // Quantization error scales with the dot product's terms, not its
-  // (cancellation-prone) sum: k * max|a| * max|w| / 254 for the 8-bit
-  // weights plus the 12-bit activation term ~= 64*50*0.5/254 + 0.4 < 8.
-  for (std::size_t i = 0; i < served_hot.size(); ++i) {
-    const float want = exact[i] * 100.0f;
-    ASSERT_NEAR(served_hot[i], want, 8.0f);
-  }
-
-  // Weight mutation invalidates the cached range with the weight caches.
-  (void)layer.Params();
-  EXPECT_EQ(layer.cached_activation_maxabs(), 0.0f);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // cache invalidation, and end-to-end top-1 agreement on a serving-sized
 // net.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -210,6 +211,74 @@ TEST(GemmInt8, DispatchIsBitIdenticalToGenericKernel) {
     // tier's dispatch-invariance contract, not a tolerance check.
     EXPECT_EQ(dispatched[i], generic[i]) << "i=" << i;
   }
+}
+
+/// True when the dispatched quantizer returns the scalar oracle's scale and
+/// int16 values bit for bit, and neither writes past out[k).
+bool QuantizerMatchesGeneric(const std::vector<float>& row) {
+  const std::size_t k = row.size();
+  std::vector<std::int16_t> got(k + 1, 0x5555), want(k + 1, 0x5555);
+  const float got_scale = QuantizeActivationRow(row.data(), k, got.data());
+  const float want_scale =
+      QuantizeActivationRowGeneric(row.data(), k, want.data());
+  return std::bit_cast<std::uint32_t>(got_scale) ==
+             std::bit_cast<std::uint32_t>(want_scale) &&
+         got == want && got[k] == 0x5555;
+}
+
+TEST(QuantizeActivationRow, DispatchIsBitIdenticalToGeneric) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  // Each pattern tiles across the row, so its special values land in
+  // vector lanes and in the scalar tail alike.
+  const std::vector<std::vector<float>> patterns = {
+      {0.25f, -1.0f, kNaN, 0.5f, kInf, -0.75f, -kInf, 3e-39f, -0.0f, 2.0f},
+      {0.0f, -0.0f},                    // all zero
+      {kNaN, kInf, -kInf, -kNaN},       // all non-finite
+      {kMax, -kMax, kMax / 3.0f, -1.0f, 0.0f, kMax * 0.999f},
+      // Max-abs 2047 makes the scale exactly 1, so every x.5 is a tie that
+      // must round to even.
+      {2047.0f, 0.5f, 1.5f, 2.5f, -0.5f, -1.5f, -2.5f, 1000.5f, -2046.5f},
+      // Scale exactly 2: the odd integers divide to ties.
+      {4094.0f, 1.0f, 3.0f, 5.0f, -1.0f, -7.0f, 4093.0f},
+      // A denormal scale (3000 dm / 2047 rounds to 1 dm): quotients above
+      // 2047 clamp.
+      {3000 * kDenorm, -3000 * kDenorm, 1500 * kDenorm, kDenorm, -kDenorm},
+      // max-abs / 2047 underflows to 0, so the row takes the unit scale.
+      {1000 * kDenorm, -kDenorm, 500 * kDenorm, 0.0f},
+  };
+  for (const std::size_t k : {1, 7, 8, 15, 16, 17, 27, 288, 577, 1152}) {
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      std::vector<float> row(k);
+      for (std::size_t p = 0; p < k; ++p) {
+        row[p] = patterns[i][p % patterns[i].size()];
+      }
+      EXPECT_TRUE(QuantizerMatchesGeneric(row)) << "pattern " << i
+                                                << " k=" << k;
+    }
+  }
+  std::int16_t unit_out[4];
+  EXPECT_EQ(QuantizeActivationRow(patterns.back().data(), 4, unit_out), 1.0f);
+
+  // Random rows shaped like conv patch rows, over 41 binades, half of
+  // them post-ReLU. A reciprocal multiply in place of the division
+  // changes roughly one row in a hundred.
+  Prng prng(29);
+  std::size_t mismatched_rows = 0;
+  std::vector<float> row(288);
+  for (int r = 0; r < 4000; ++r) {
+    const float magnitude =
+        std::ldexp(1.0f, static_cast<int>(prng.NextBelow(41)) - 20);
+    const bool relu = prng.NextBool(0.5);
+    for (float& v : row) {
+      v = prng.NextFloat(-1.0f, 1.0f) * magnitude;
+      if (relu) v = std::max(v, 0.0f);
+    }
+    if (!QuantizerMatchesGeneric(row)) ++mismatched_rows;
+  }
+  EXPECT_EQ(mismatched_rows, 0u);
 }
 
 TEST(GemmInt8, AccumulatesIntoC) {
