@@ -70,6 +70,11 @@ Conv2DLayer::Conv2DLayer(std::size_t filter_size, std::size_t in_channels,
 }
 
 void Conv2DLayer::set_kernel_config(KernelConfig config) {
+  // Past this patch depth the int32 accumulator could overflow, so such a
+  // layer serves (and reports) the fast tier under an int8 setting.
+  if (config == KernelConfig::kInt8 && PatchLength() > quant::kInt8MaxDepth) {
+    config = KernelConfig::kFast;
+  }
   Layer::set_kernel_config(config);
   if (config != KernelConfig::kExact) {
     plan_ = KernelRegistry::Get().PlanFor(PatchLength(), out_channels_);
@@ -77,19 +82,13 @@ void Conv2DLayer::set_kernel_config(KernelConfig config) {
   }
   // Warm the int8 filter-panel cache on entry instead of on the first
   // serve, so quantize+pack lands at configuration time (engine
-  // construction) and never inside a latency-sensitive request. A null
-  // return means the F²Z depth guard tripped and this layer will serve
-  // the kFast fp32 fallback (which has no cache to warm — conv's fast
-  // path streams the fp32 filters directly).
-  if (config == KernelConfig::kInt8) Int8FiltersOrNull();
+  // construction) and never inside a latency-sensitive request. The fast
+  // tier has no cache to warm: conv's fast path streams the fp32 filters
+  // directly.
+  if (config == KernelConfig::kInt8) Int8Filters();
 }
 
-const quant::Int8ServingWeights* Conv2DLayer::Int8FiltersOrNull() const {
-  // Past this patch depth the int32 accumulator could overflow; every
-  // conv shape in the repo (max F²Z well under 8260) passes, but the
-  // guard keeps the tier's exactness contract honest for giant-channel
-  // configurations rather than silently wrong.
-  if (PatchLength() > quant::kInt8MaxDepth) return nullptr;
+const quant::Int8ServingWeights& Conv2DLayer::Int8Filters() const {
   if (!int8_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(pack_mutex_);
     if (!int8_valid_.load(std::memory_order_relaxed)) {
@@ -102,7 +101,7 @@ const quant::Int8ServingWeights* Conv2DLayer::Int8FiltersOrNull() const {
       int8_valid_.store(true, std::memory_order_release);
     }
   }
-  return &int8_filters_;
+  return int8_filters_;
 }
 
 void Conv2DLayer::ForwardInt8Block(const quant::Int8ServingWeights& qw,
@@ -280,17 +279,13 @@ Tensor Conv2DLayer::ForwardBatch(const Tensor& input) const {
   const std::size_t plen = PatchLength();
   const std::size_t sample_rows = g * g;
   const std::size_t rows = batch * sample_rows;
-  KernelConfig kernel = kernel_config();
+  const KernelConfig kernel = kernel_config();
   // Int8 tier: serve from the cached quantized filter panels. One
   // requantization per filter mutation (recovery, injection, training),
   // shared by every row block and concurrent reader — the dense replica's
   // discipline, with 4x fewer filter bytes streamed per im2col GEMM.
-  // Falls through to kFast when the F²Z depth guard trips.
-  const quant::Int8ServingWeights* qfilters = nullptr;
-  if (kernel == KernelConfig::kInt8) {
-    qfilters = Int8FiltersOrNull();
-    if (qfilters == nullptr) kernel = KernelConfig::kFast;
-  }
+  const quant::Int8ServingWeights* qfilters =
+      kernel == KernelConfig::kInt8 ? &Int8Filters() : nullptr;
   Tensor out(Shape{batch, g, g, out_channels_});
 
   // Whether materialized or streamed, sample s owns rows [s·G², (s+1)·G²)

@@ -67,8 +67,9 @@ class Conv2DLayer final : public Layer {
   /// Non-exact tiers attach the registry's plan for the im2col GEMM shape
   /// (F²Z, Y); the batched row-block GEMMs then dispatch through it. The
   /// int8 tier additionally quantizes + packs the filter panels here, at
-  /// configuration time, so the cost never lands inside a request (when
-  /// the F²Z depth guard trips, int8 serves the kFast fallback instead).
+  /// configuration time, so the cost never lands inside a request. An int8
+  /// setting on a layer whose F²Z exceeds quant::kInt8MaxDepth is stored
+  /// (and served) as kFast.
   void set_kernel_config(KernelConfig config) override;
 
   /// Tier name plus the registry plan when one is attached.
@@ -138,10 +139,10 @@ class Conv2DLayer final : public Layer {
   /// under pack_mutex_ (DenseLayer's memory-ordering discipline: valid_
   /// only transitions false->true here; true->false happens on the
   /// mutation paths, which serving already runs under the model's
-  /// exclusive lock). Returns nullptr when F²Z exceeds the int32
-  /// accumulator's exact range (quant::kInt8MaxDepth) — callers then
-  /// serve the kFast fp32 fallback.
-  const quant::Int8ServingWeights* Int8FiltersOrNull() const;
+  /// exclusive lock). Only reached under kInt8, which set_kernel_config
+  /// never stores past the int32 accumulator's exact range
+  /// (quant::kInt8MaxDepth).
+  const quant::Int8ServingWeights& Int8Filters() const;
 
   /// One int8 row block of the im2col GEMM: quantize `rows` patch rows
   /// (length F²Z, thread-local int16 scratch, 12-bit per-row scales) and

@@ -39,6 +39,11 @@ Tensor DenseLayer::Forward(const Tensor& input) const {
 }
 
 void DenseLayer::set_kernel_config(KernelConfig config) {
+  // Past this depth the int32 accumulator could overflow, so such a layer
+  // serves (and reports) the fast tier under an int8 setting.
+  if (config == KernelConfig::kInt8 && in_features_ > quant::kInt8MaxDepth) {
+    config = KernelConfig::kFast;
+  }
   Layer::set_kernel_config(config);
   if (config != KernelConfig::kExact) {
     // The plan is a fixed function of the machine and this weight shape,
@@ -50,12 +55,7 @@ void DenseLayer::set_kernel_config(KernelConfig config) {
   // so the cost lands at configuration time (engine construction) and
   // never inside a latency-sensitive request.
   if (config == KernelConfig::kFast) PackedWeightsOrNull();
-  if (config == KernelConfig::kInt8 && Int8WeightsOrNull() == nullptr) {
-    // Depth guard tripped: this layer will serve the kFast fallback, so
-    // warm THAT cache instead — the cost must still land here, not
-    // inside the first request.
-    PackedWeightsOrNull();
-  }
+  if (config == KernelConfig::kInt8) Int8Weights();
 }
 
 const float* DenseLayer::PackedWeightsOrNull() const {
@@ -75,11 +75,7 @@ const float* DenseLayer::PackedWeightsOrNull() const {
   return packed_b_.data();
 }
 
-const quant::Int8ServingWeights* DenseLayer::Int8WeightsOrNull() const {
-  // Past this depth the int32 accumulator could overflow; no dense layer
-  // here is near it, but the guard keeps the tier's exactness contract
-  // honest rather than silently wrong.
-  if (in_features_ > quant::kInt8MaxDepth) return nullptr;
+const quant::Int8ServingWeights& DenseLayer::Int8Weights() const {
   if (!int8_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(pack_mutex_);
     if (!int8_valid_.load(std::memory_order_relaxed)) {
@@ -88,7 +84,7 @@ const quant::Int8ServingWeights* DenseLayer::Int8WeightsOrNull() const {
       int8_valid_.store(true, std::memory_order_release);
     }
   }
-  return &int8_weights_;
+  return int8_weights_;
 }
 
 void DenseLayer::ForwardInt8Block(const quant::Int8ServingWeights& qw,
@@ -123,27 +119,25 @@ Tensor DenseLayer::ForwardWith(const Tensor& input,
   // requantization per weight mutation (recovery, injection, training),
   // shared by every row block and concurrent reader — exactly the packed
   // fp32 panel cache's discipline, with 4x fewer weight bytes streamed
-  // per GEMM. Falls through to kFast when the depth guard trips.
+  // per GEMM.
   if (kernel == KernelConfig::kInt8) {
-    if (const quant::Int8ServingWeights* qw = Int8WeightsOrNull()) {
-      if (rows < 32) {
-        ForwardInt8Block(*qw, input.data(), out.data(), rows);
-      } else {
-        // Initialization-sized inputs (MILR's (N,N) PRNG systems never
-        // come here — they use per-sample Forward — but large client
-        // batches do): parallelize across row blocks like the fp32 path.
-        constexpr std::size_t kBlock = 16;
-        const std::size_t blocks = (rows + kBlock - 1) / kBlock;
-        ParallelFor(0, blocks, [&](std::size_t b) {
-          const std::size_t begin = b * kBlock;
-          const std::size_t count = std::min(kBlock, rows - begin);
-          ForwardInt8Block(*qw, input.data() + begin * in_features_,
-                           out.data() + begin * out_features_, count);
-        });
-      }
-      return out;
+    const quant::Int8ServingWeights& qw = Int8Weights();
+    if (rows < 32) {
+      ForwardInt8Block(qw, input.data(), out.data(), rows);
+    } else {
+      // Initialization-sized inputs (MILR's (N,N) PRNG systems never
+      // come here — they use per-sample Forward — but large client
+      // batches do): parallelize across row blocks like the fp32 path.
+      constexpr std::size_t kBlock = 16;
+      const std::size_t blocks = (rows + kBlock - 1) / kBlock;
+      ParallelFor(0, blocks, [&](std::size_t b) {
+        const std::size_t begin = b * kBlock;
+        const std::size_t count = std::min(kBlock, rows - begin);
+        ForwardInt8Block(qw, input.data() + begin * in_features_,
+                         out.data() + begin * out_features_, count);
+      });
     }
-    kernel = KernelConfig::kFast;
+    return out;
   }
   // Fast tier: serve from the cached packed weight panels. One pack per
   // weight mutation, shared by every row block and every concurrent reader

@@ -59,9 +59,10 @@ class DenseLayer final : public Layer {
   }
   std::span<const float> Params() const override { return weights_.flat(); }
 
-  /// Packs the weight panels once when entering the fast tier (ROADMAP
-  /// follow-on from PR 3) and quantizes them once when entering the int8
-  /// tier, so serving never pays a per-request repack/requantization.
+  /// Packs the weight panels once when entering the fast tier and
+  /// quantizes them once when entering the int8 tier, so serving never
+  /// pays a per-request repack/requantization. An int8 setting on a layer
+  /// deeper than quant::kInt8MaxDepth is stored (and served) as kFast.
   /// Non-exact tiers additionally fetch this shape's GemmPlan from the
   /// KernelRegistry and persist it by value; the panels are packed with
   /// the plan's kc, so pack and serve agree on the blocking.
@@ -106,10 +107,10 @@ class DenseLayer final : public Layer {
   /// under the model's exclusive lock.
   const float* PackedWeightsOrNull() const;
   /// Int8 analog of PackedWeightsOrNull: lazily requantizes from the fp32
-  /// master under pack_mutex_ (same memory-ordering discipline), or
-  /// nullptr when in_features_ exceeds the int32 accumulator's exact
-  /// range (quant::kInt8MaxDepth) — callers then fall back to kFast.
-  const quant::Int8ServingWeights* Int8WeightsOrNull() const;
+  /// master under pack_mutex_ (same memory-ordering discipline). Only
+  /// reached under kInt8, which set_kernel_config never stores past the
+  /// int32 accumulator's exact range (quant::kInt8MaxDepth).
+  const quant::Int8ServingWeights& Int8Weights() const;
   /// One int8 row block: quantize the activation rows (thread-local
   /// scratch) and run the packed int8 GEMM + dequantizing epilogue.
   void ForwardInt8Block(const quant::Int8ServingWeights& qw,

@@ -23,8 +23,8 @@
 //    sets larger than L2, where micro-batch GEMMs are bound on streaming
 //    weight bytes and int8 streams 4x fewer of them. A layer whose depth
 //    exceeds the int32 accumulator's exact range (quant::kInt8MaxDepth —
-//    dense in_features or conv F²Z past 8260) serves the kFast fp32 path
-//    under this setting, so a model is never slower than kFast for
+//    dense in_features or conv F²Z past 8260) stores, reports and serves
+//    kFast under this setting, so a model is never slower than kFast for
 //    choosing kInt8.
 //
 // The choice rides the batched serving path only (Layer::ForwardBatch,

@@ -77,7 +77,7 @@ struct GemmPlan {
   TransKernel tb = TransKernel::kTiled;  // dX: C += A·Bᵀ
 };
 
-/// Compact one-line rendering for telemetry labels and bench JSON.
+/// Compact one-line rendering for telemetry labels.
 std::string DescribeGemmPlan(const GemmPlan& plan);
 
 class KernelRegistry {

@@ -105,8 +105,8 @@ class Layer {
   }
 
   /// One-line description of how this layer's batched path executes, for
-  /// telemetry labels and the bench report: the tier name, plus the
-  /// registry plan for layers that hold one ("fast[thin=...,kc=...]").
+  /// telemetry labels: the tier name, plus the registry plan for layers
+  /// that hold one ("fast[thin=...,kc=...]").
   virtual std::string KernelDescription() const {
     return KernelConfigName(kernel_config());
   }

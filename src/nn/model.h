@@ -57,8 +57,8 @@ class Model {
   KernelConfig kernel_config() const { return kernel_config_; }
 
   /// Per-layer kernel descriptions ("dense_2: int8[...]"), one entry per
-  /// layer — telemetry and the bench report surface these so the
-  /// registry's kernel plans are observable.
+  /// layer, so the registry's kernel plans are observable (the telemetry
+  /// exposition labels each layer with the same Layer::KernelDescription).
   std::vector<std::string> KernelDescriptions() const;
 
   const Shape& input_shape() const { return input_shape_; }

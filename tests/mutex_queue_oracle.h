@@ -1,12 +1,12 @@
 // The mutex + condition_variable queue that the lock-free BoundedQueue
-// (src/runtime/request_queue.h) is tested and benchmarked against.
+// (src/runtime/request_queue.h) is tested against.
 //
 // Every operation serializes on one mutex, so its correctness is a matter
 // of reading each method once. That simplicity is the point: it is the
 // oracle. It exposes BoundedQueue's public surface and contract, so the
-// contract suites run as typed tests over both, the differential test
-// drives both in lockstep, and bench/runtime_throughput measures the ring
-// against it. Nothing in src/ includes this header.
+// contract suites and the litmus harnesses run as typed tests over both
+// and the differential test drives both in lockstep. Only tests include
+// this header.
 #pragma once
 
 #include <atomic>

@@ -455,6 +455,44 @@ TEST(ServingHostTest, EveryQuarantineOpensAndClosesOneIncidentWithTrace) {
   fs::remove_all(trace_dir);
 }
 
+// The SLO pipeline through a live host: every served request is counted
+// against the model's objective exactly once. An objective far above any
+// service time admits every request; one below any service time (1 ns)
+// counts every request as a violation.
+TEST(ServingHostTest, SloCountsEveryServedRequestAgainstTheObjective) {
+  constexpr std::size_t kRequests = 64;
+  for (const double slo_ms : {60'000.0, 1e-6}) {
+    nn::Model model = TestModel(51);
+    const auto probes = Probes(model, 4, 800);
+    ServingHostConfig config;
+    config.worker_threads = 2;
+    config.scrubber_enabled = false;
+    ServingHost host(config);
+    ModelRuntimeConfig runtime_config;
+    runtime_config.slo_ms = slo_ms;
+    auto handle = host.AddModel(model, runtime_config, "slo");
+    host.Start();
+    std::vector<std::future<Tensor>> inflight;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      inflight.push_back(handle->Submit(probes[i % probes.size()]));
+    }
+    for (auto& result : inflight) result.get();
+    const obs::SloSnapshot slo = handle->Snapshot().slo;
+    host.Stop();
+
+    ASSERT_TRUE(slo.enabled) << "slo_ms=" << slo_ms;
+    if (slo_ms > 1.0) {
+      EXPECT_EQ(slo.within, kRequests);
+      EXPECT_EQ(slo.violations, 0u);
+      EXPECT_EQ(slo.goodput, 1.0);
+    } else {
+      EXPECT_EQ(slo.within, 0u);
+      EXPECT_EQ(slo.violations, kRequests);
+      EXPECT_EQ(slo.goodput, 0.0);
+    }
+  }
+}
+
 // ----------------------------------------------------- scheduler fairness
 
 // The flagship multi-model scenario: a saturating model and a trickle
